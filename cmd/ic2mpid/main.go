@@ -46,6 +46,26 @@ import (
 	"ic2mpi/internal/server"
 )
 
+// Connection timeouts. A client that opens a connection and trickles
+// its request headers, or parks an idle keep-alive connection, would
+// otherwise hold a goroutine and a file descriptor forever. There is
+// deliberately no WriteTimeout: it would cut long-lived NDJSON/SSE
+// streams mid-job.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps h in an http.Server with the daemon's connection
+// timeouts.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ic2mpid: ")
@@ -86,7 +106,7 @@ func main() {
 		}
 	}
 
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	done := make(chan error, 1)
 	go func() { done <- httpSrv.Serve(ln) }()
 

@@ -357,16 +357,16 @@ func TestExchangeDeterminismSubPhases(t *testing.T) {
 
 // TestKernelEquivalence is the differential harness for the event-driven
 // simulation kernels: for every registered scenario, across processor
-// counts, interconnect models and fault injection, the event kernel and
-// the parallel event kernel (at several worker counts, including worker
-// layouts that split the rank space) must reproduce the goroutine
-// kernel's run bit for bit — virtual time, message counters, phase
-// breakdown, migrations, and the per-iteration trace JSONL, byte for
-// byte. The three kernels share no scheduling machinery (goroutines +
-// channel mailboxes vs a priority queue over passive rank states vs
-// lookahead-windowed worker shards), so agreement here is evidence the
-// virtual timeline is a pure function of the simulated program, not of
-// the engine executing it.
+// counts, interconnect models and fault injection, the event kernel (the
+// event scheduler at one worker) and the parallel event kernel (at
+// several worker counts, including worker layouts that split the rank
+// space) must reproduce the goroutine kernel's run bit for bit — virtual
+// time, message counters, phase breakdown, migrations, and the
+// per-iteration trace JSONL, byte for byte. The two engines share no
+// scheduling machinery (goroutines + mutex-guarded mailboxes vs
+// lookahead-windowed priority queues over passive rank states), so
+// agreement here is evidence the virtual timeline is a pure function of
+// the simulated program, not of the engine executing it.
 func TestKernelEquivalence(t *testing.T) {
 	const iterations = 6
 	networks := []string{"uniform", "hypercube", "mesh2d"}

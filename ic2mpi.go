@@ -150,12 +150,12 @@ const (
 	// engine, and the one every pinned table and golden trace was
 	// measured on.
 	KernelGoroutine = mpi.KernelGoroutine
-	// KernelEvent runs ranks as passive states driven by a discrete-event
-	// scheduler: bit-identical virtual timelines with flat per-rank
-	// memory, built for worlds of thousands of simulated processors.
-	// Virtual clock only.
+	// KernelEvent runs ranks as passive states driven by the event
+	// scheduler of KernelParallelEvent at exactly one worker:
+	// bit-identical virtual timelines with flat per-rank memory, built
+	// for worlds of thousands of simulated processors. Virtual clock only.
 	KernelEvent = mpi.KernelEvent
-	// KernelParallelEvent runs the discrete-event scheduler sharded across
+	// KernelParallelEvent runs the event scheduler sharded across
 	// min(GOMAXPROCS, procs) workers under a conservative lookahead
 	// horizon (Config.KernelWorkers overrides the worker count).
 	// Bit-identical to the other kernels at any worker count. Virtual

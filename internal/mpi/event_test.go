@@ -1,9 +1,10 @@
 package mpi
 
-// Unit tests of the discrete-event kernel: in-package equivalence
-// smokes against the goroutine kernel, the failure paths the big
-// differential suite (TestKernelEquivalence at the repo root) cannot
-// reach, and the ordering contract of the event queue itself.
+// Unit tests of the event kernels: in-package equivalence smokes
+// against the goroutine kernel, the failure paths the big differential
+// suite (TestKernelEquivalence at the repo root) cannot reach, at one
+// and at several workers, and the ordering contract of the event queue
+// itself.
 
 import (
 	"errors"
@@ -27,14 +28,14 @@ type kernelSnap struct {
 // equivalence smokes cross-check: the three kernels, with the parallel
 // event kernel pinned at several explicit worker counts so worker
 // partitioning (including a block size of one) is exercised regardless
-// of GOMAXPROCS.
+// of GOMAXPROCS. One worker is KernelEvent itself.
 func kernelMatrix(procs int) map[string]Options {
 	m := map[string]Options{
 		"goroutine": {Kernel: KernelGoroutine},
 		"event":     {Kernel: KernelEvent},
 		"pevent":    {Kernel: KernelParallelEvent},
 	}
-	for _, w := range []int{1, 2, 3} {
+	for _, w := range []int{2, 3} {
 		if w <= procs {
 			m[fmt.Sprintf("pevent-w%d", w)] = Options{Kernel: KernelParallelEvent, Workers: w}
 		}
@@ -147,79 +148,112 @@ func TestEventKernelEquivalenceSmoke(t *testing.T) {
 	}
 }
 
-// TestEventKernelRejectsRealClock pins the mode restriction.
-func TestEventKernelRejectsRealClock(t *testing.T) {
-	err := Run(Options{Procs: 2, Mode: RealClock, Kernel: KernelEvent}, func(c *Comm) error { return nil })
-	if err == nil {
-		t.Fatal("expected an error for RealClock under the event kernel")
+// eventConfigs are the event-engine configurations every failure-path
+// test runs under: KernelEvent (one worker) and the parallel kernel at
+// two and three workers, so failing ranks and their blocked siblings
+// land on the same and on different workers.
+var eventConfigs = []struct {
+	name    string
+	kernel  Kernel
+	workers int
+}{
+	{"event", KernelEvent, 0},
+	{"pevent-w2", KernelParallelEvent, 2},
+	{"pevent-w3", KernelParallelEvent, 3},
+}
+
+// runEventConfigs runs fn once per eventConfigs entry as a subtest,
+// passing free-network options for procs ranks under that engine.
+func runEventConfigs(t *testing.T, procs int, fn func(t *testing.T, opts Options)) {
+	t.Helper()
+	for _, ec := range eventConfigs {
+		t.Run(ec.name, func(t *testing.T) {
+			opts := freeOpts(procs)
+			opts.Kernel = ec.kernel
+			opts.Workers = ec.workers
+			fn(t, opts)
+		})
 	}
 }
 
-// TestEventKernelDetectsDeadlock: a receive that can never be satisfied
-// drains the event queue; the kernel must fail the world (the goroutine
-// kernel would hang forever here, which is why this test exists only
-// for the event kernel).
-func TestEventKernelDetectsDeadlock(t *testing.T) {
-	opts := freeOpts(3)
-	opts.Kernel = KernelEvent
-	err := Run(opts, func(c *Comm) error {
-		if c.Rank() == 0 {
-			_, err := c.Recv(1, 42) // rank 1 never sends
-			return err
+// TestEventKernelRejectsRealClock pins the mode restriction.
+func TestEventKernelRejectsRealClock(t *testing.T) {
+	runEventConfigs(t, 2, func(t *testing.T, opts Options) {
+		opts.Mode = RealClock
+		if err := Run(opts, func(c *Comm) error { return nil }); err == nil {
+			t.Fatal("expected an error for RealClock under an event kernel")
 		}
-		return nil
 	})
-	if err == nil {
-		t.Fatal("expected a deadlock error")
-	}
+}
+
+// TestEventKernelDetectsDeadlock: a receive that can never be satisfied
+// drains every event queue; the kernel must fail the world (the
+// goroutine kernel would hang forever here, which is why this test
+// exists only for the event kernels), whether the blocked rank shares a
+// worker with its phantom sender or not.
+func TestEventKernelDetectsDeadlock(t *testing.T) {
+	runEventConfigs(t, 3, func(t *testing.T, opts Options) {
+		err := Run(opts, func(c *Comm) error {
+			if c.Rank() == 0 {
+				_, err := c.Recv(1, 42) // rank 1 never sends
+				return err
+			}
+			return nil
+		})
+		if err == nil {
+			t.Fatal("expected a deadlock error")
+		}
+	})
 }
 
 // TestEventKernelErrorAndPanicPropagate mirrors TestRankErrorPropagates
 // and TestPanicConvertedToError on the event path: the failure must
-// unblock ranks parked in Recv and in Barrier.
+// unblock ranks parked in Recv and in Barrier, including ranks on
+// workers the failing rank does not own.
 func TestEventKernelErrorAndPanicPropagate(t *testing.T) {
 	boom := errors.New("boom")
-	for name, fail := range map[string]func(){
-		"error": func() {},
-		"panic": func() { panic("kaboom") },
-	} {
-		opts := freeOpts(4)
-		opts.Kernel = KernelEvent
-		err := Run(opts, func(c *Comm) error {
-			switch c.Rank() {
-			case 0:
-				if name == "panic" {
-					fail()
+	runEventConfigs(t, 4, func(t *testing.T, opts Options) {
+		for name, fail := range map[string]func(){
+			"error": func() {},
+			"panic": func() { panic("kaboom") },
+		} {
+			err := Run(opts, func(c *Comm) error {
+				switch c.Rank() {
+				case 0:
+					if name == "panic" {
+						fail()
+					}
+					return boom
+				case 1:
+					_, err := c.Recv(2, 1) // parked in Recv when rank 0 fails
+					return err
+				default:
+					return c.Barrier() // parked in Barrier when rank 0 fails
 				}
-				return boom
-			case 1:
-				_, err := c.Recv(2, 1) // parked in Recv when rank 0 fails
-				return err
-			default:
-				return c.Barrier() // parked in Barrier when rank 0 fails
+			})
+			if err == nil {
+				t.Fatalf("%s: expected failure to propagate", name)
 			}
-		})
-		if err == nil {
-			t.Fatalf("%s: expected failure to propagate", name)
 		}
-	}
+	})
 }
 
 // TestEventKernelFailUnblocks mirrors TestFailUnblocksBarrier: Comm.Fail
-// from a running rank must wake barrier waiters.
+// from a running rank must wake barrier waiters, on its own worker and
+// on others.
 func TestEventKernelFailUnblocks(t *testing.T) {
-	opts := freeOpts(3)
-	opts.Kernel = KernelEvent
-	err := Run(opts, func(c *Comm) error {
-		if c.Rank() == 2 {
-			c.Fail(errors.New("deliberate"))
-			return nil
+	runEventConfigs(t, 3, func(t *testing.T, opts Options) {
+		err := Run(opts, func(c *Comm) error {
+			if c.Rank() == 2 {
+				c.Fail(errors.New("deliberate"))
+				return nil
+			}
+			return c.Barrier()
+		})
+		if err == nil {
+			t.Fatal("expected the injected failure")
 		}
-		return c.Barrier()
 	})
-	if err == nil {
-		t.Fatal("expected the injected failure")
-	}
 }
 
 // TestEventQueueOrder drives the queue with a seeded random insertion

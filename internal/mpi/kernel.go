@@ -18,11 +18,12 @@ const (
 	// concurrently. Best host-time at small worlds; memory and scheduler
 	// pressure grow with rank count.
 	KernelGoroutine Kernel = iota
-	// KernelEvent is the discrete-event engine: ranks are passive states
+	// KernelEvent is the event engine of KernelParallelEvent pinned at
+	// one worker (Options.Workers is ignored): ranks are passive states
 	// driven by a scheduler popping wake events from a priority queue
 	// ordered on (virtual time, rank, seq), with slab-allocated message
 	// envelopes instead of per-rank mailbox locks. Exactly one rank runs
-	// at a time, so the simulation needs no locks and scales to tens of
+	// at a time and the whole run is one window, so it scales to tens of
 	// thousands of ranks with flat memory per rank. VirtualClock only.
 	KernelEvent
 	// KernelParallelEvent is the conservative parallel event engine:
@@ -31,8 +32,8 @@ const (
 	// slab. Workers execute events concurrently below a per-window safe
 	// horizon derived from the cost model's MinDelay lookahead, staging
 	// cross-worker sends into per-worker lanes merged at the window
-	// barrier — see pevent.go. Bit-identical to the other two kernels.
-	// VirtualClock only.
+	// barrier — see pevent.go. Bit-identical to the goroutine kernel at
+	// any worker count. VirtualClock only.
 	KernelParallelEvent
 )
 

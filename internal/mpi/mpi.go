@@ -34,36 +34,18 @@ type Options struct {
 	// Mode selects virtual or real time accounting.
 	Mode ClockMode
 	// Kernel selects the execution engine: KernelGoroutine (default, one
-	// goroutine per rank), KernelEvent (discrete-event scheduler for
-	// large worlds; VirtualClock only) or KernelParallelEvent (the
-	// lookahead-windowed multi-worker event scheduler; VirtualClock
-	// only). All are bit-identical in virtual time, stats and traces —
-	// see kernel.go.
+	// goroutine per rank), KernelEvent (the event scheduler at one
+	// worker; VirtualClock only) or KernelParallelEvent (the same
+	// scheduler with lookahead windows across Workers workers;
+	// VirtualClock only). All are bit-identical in virtual time, stats
+	// and traces — see kernel.go.
 	Kernel Kernel
 	// Workers bounds the worker count of KernelParallelEvent: 0 (the
 	// default) resolves to min(GOMAXPROCS, Procs); explicit values are
 	// clamped to Procs. Any worker count produces the same bytes — the
 	// knob trades host parallelism against per-window coordination cost.
-	// Ignored by the other kernels.
+	// Ignored by the other kernels; KernelEvent always runs one worker.
 	Workers int
-}
-
-// engine abstracts the event-driven execution engines (event, pevent)
-// behind the Comm hot paths: a nil World.eng selects the goroutine
-// kernel's mailbox path, preserving its branch-free fast path.
-type engine interface {
-	// send queues message m for rank dst (m.src identifies the sender).
-	send(dst int, m message)
-	// recv blocks rank c until a (src, tag) match is consumed.
-	recv(c *Comm, src, tag int) (any, error)
-	// probe reports whether a (src, tag) match is already queued at rank.
-	probe(rank, src, tag int) bool
-	// barrier parks rank c until all ranks arrive; returns the released
-	// maximum clock.
-	barrier(c *Comm) (float64, error)
-	// failWake wakes parked ranks after a failure so they can observe
-	// the fail flag and unwind; rank is the failing caller.
-	failWake(rank int)
 }
 
 // World owns the shared state of one SPMD execution: mailboxes, the barrier,
@@ -86,10 +68,9 @@ type World struct {
 	tv    netmodel.TimeVarying
 	boxes []*mailbox
 	bar   *barrier
-	// eng is non-nil when the world runs under an event-driven kernel
-	// (event.go, pevent.go); Comm methods branch to it instead of the
-	// mailboxes.
-	eng   engine
+	// eng is non-nil when the world runs under an event kernel
+	// (pevent.go); Comm methods branch to it instead of the mailboxes.
+	eng   *peventKernel
 	start time.Time
 	// failFlag is the lock-free fast path for "has any rank failed":
 	// receive loops poll it on every wakeup, so it must not require
@@ -311,7 +292,7 @@ func Run(opts Options, fn func(c *Comm) error) error {
 			return fmt.Errorf("mpi: the %s kernel simulates virtual time only; RealClock requires the goroutine kernel", opts.Kernel)
 		}
 		if opts.Kernel == KernelEvent {
-			return runEvent(w, fn)
+			return runPEvent(w, fn, 1)
 		}
 		return runPEvent(w, fn, opts.Workers)
 	}

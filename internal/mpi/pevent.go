@@ -1,34 +1,48 @@
 package mpi
 
-// The conservative parallel event kernel (Options.Kernel ==
-// KernelParallelEvent): ranks are partitioned into contiguous blocks
-// across min(GOMAXPROCS, procs) workers, each owning a private event
-// heap, message slab and coroutine carriers — a sharded copy of the
-// sequential event kernel (event.go). Execution proceeds in windows: the
-// coordinator computes the global floor (the minimum next event time
-// across workers) and a safe horizon floor + lookahead, where lookahead
-// is the cost model's MinDelay — the classic Chandy–Misra–Bryant
-// conservative bound: no message injected inside the window can demand a
-// wake-up below the horizon of a sibling worker. Workers then execute
-// their events below the horizon concurrently, staging cross-worker
-// sends into per-(src-worker, dst-worker) lanes; the coordinator merges
-// the lanes at the window barrier, in (src-worker, injection) order.
+// The event-driven kernels (Options.Kernel == KernelEvent or
+// KernelParallelEvent) share one engine: a conservative parallel event
+// scheduler. KernelEvent is this engine at exactly one worker;
+// KernelParallelEvent partitions ranks into contiguous blocks across
+// min(GOMAXPROCS, procs) workers (Options.Workers). Ranks are passive
+// states: each worker pops wake events from a private priority queue
+// ordered on (virtual time, rank, seq) and resumes one rank at a time,
+// so goroutines survive only as suspended stack carriers parked on an
+// unbuffered resume channel and memory per rank is flat — a parked
+// goroutine, one pending-queue header and a wait record. Message
+// envelopes live in a per-worker slab indexed by int32 and are recycled
+// through a free list, replacing the per-rank mailbox locks of the
+// goroutine kernel.
 //
-// Byte-identity with the other two kernels is by construction, not by
-// windowing: a message's arrival time is a pure function of its content
-// (sender clock at injection, size, epoch, endpoint pair); matching is
-// FIFO per (src, tag) with the source always named, and all of a source
-// rank's messages to a given destination ride the same lane in program
-// order, so per-src FIFO — the only queue order matching can observe —
+// Execution proceeds in windows: the coordinator computes the global
+// floor (the minimum next event time across workers) and a safe horizon
+// floor + lookahead, where lookahead is the cost model's MinDelay — the
+// classic Chandy–Misra–Bryant conservative bound: no message injected
+// inside the window can demand a wake-up below the horizon of a sibling
+// worker. Workers then execute their events below the horizon
+// concurrently, staging cross-worker sends into per-(src-worker,
+// dst-worker) lanes; the coordinator merges the lanes at the window
+// barrier, in (src-worker, injection) order. A single worker has no
+// sibling to synchronize with, so its whole run is one window.
+//
+// Byte-identity with the goroutine kernel, and across worker counts, is
+// by construction, not by scheduling luck or windowing: a message's
+// arrival time is a pure function of its content (sender clock at
+// injection, size, epoch, endpoint pair); matching is FIFO per
+// (src, tag) with the source always named, and all of a source rank's
+// messages to a given destination ride the same lane in program order,
+// so per-src FIFO — the only queue order matching can observe —
 // survives any merge interleaving. The barrier releases every
 // participant at the maximum contributed clock, which is
 // order-independent. The lookahead is therefore purely a performance
 // knob (how much each worker may run ahead between synchronizations);
 // MinDelay == 0 degrades to lock-step windows, never to wrong answers.
+// TestKernelEquivalence pins this bit-for-bit across every registered
+// scenario.
 //
 // The one seam where cross-worker timing could leak into a program is
 // Probe, which observes whether a message is already queued. The
-// sequential kernels guarantee that everything sent before a barrier is
+// goroutine kernel guarantees that everything sent before a barrier is
 // visible after it; to preserve that, a multi-worker barrier releases
 // every participant — the last arriver included — only at the next
 // window fold, after staged lanes have merged.
@@ -39,6 +53,83 @@ import (
 	"runtime"
 	"sync"
 )
+
+// event is one scheduler wake-up: rank becomes runnable at virtual time
+// time. seq is the owning worker's injection counter, so ordering on
+// (time, rank, seq) is total and FIFO among equal-time wake-ups of the
+// same rank — the deterministic tie-break the fuzz target pins.
+type event struct {
+	time float64
+	rank int32
+	seq  uint64
+}
+
+// eventLess is the strict weak ordering of the scheduler queue.
+func eventLess(a, b event) bool {
+	if a.time != b.time {
+		return a.time < b.time
+	}
+	if a.rank != b.rank {
+		return a.rank < b.rank
+	}
+	return a.seq < b.seq
+}
+
+// eventQueue is a hand-rolled binary min-heap on eventLess. It is not
+// container/heap: push and pop stay allocation-free and inlineable,
+// which BenchmarkEventQueue measures.
+type eventQueue struct {
+	h []event
+}
+
+// Len returns the number of queued events.
+func (q *eventQueue) Len() int { return len(q.h) }
+
+// push inserts e.
+func (q *eventQueue) push(e event) {
+	q.h = append(q.h, e)
+	i := len(q.h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !eventLess(q.h[i], q.h[p]) {
+			break
+		}
+		q.h[i], q.h[p] = q.h[p], q.h[i]
+		i = p
+	}
+}
+
+// pop removes and returns the minimum event. The queue must be non-empty.
+func (q *eventQueue) pop() event {
+	top := q.h[0]
+	n := len(q.h) - 1
+	q.h[0] = q.h[n]
+	q.h = q.h[:n]
+	i := 0
+	for {
+		l, r, s := 2*i+1, 2*i+2, i
+		if l < n && eventLess(q.h[l], q.h[s]) {
+			s = l
+		}
+		if r < n && eventLess(q.h[r], q.h[s]) {
+			s = r
+		}
+		if s == i {
+			break
+		}
+		q.h[i], q.h[s] = q.h[s], q.h[i]
+		i = s
+	}
+	return top
+}
+
+// waitState records why a parked rank is blocked in Recv, so the sender
+// of a matching message can schedule a precise wake instead of the
+// goroutine kernel's broadcast-and-rescan.
+type waitState struct {
+	active   bool
+	src, tag int
+}
 
 // stagedMsg is one cross-worker message parked in a staging lane until
 // the window fold merges it into the destination worker's state.
@@ -57,8 +148,7 @@ type barWake struct {
 // peWorker is one worker's shard of the kernel: the event heap, slab and
 // staging lanes for its contiguous block of ranks [lo, hi). All fields
 // are touched only by the worker's own goroutine during a window (one
-// rank coroutine runs at a time per worker, exactly like the sequential
-// kernel) and by the coordinator between windows; the start/ready
+// rank coroutine runs at a time per worker) and by the coordinator between windows; the start/ready
 // channel handoffs order the two.
 type peWorker struct {
 	k      *peventKernel
@@ -79,7 +169,7 @@ type peWorker struct {
 	ready chan struct{}
 }
 
-// peventKernel is the shared state of the parallel event engine. The
+// peventKernel is the shared state of the event engine. The
 // per-rank slices are sharded by ownership: entry r is touched only by
 // the worker owning rank r (or by the coordinator between windows). The
 // barrier state is the one genuinely shared region — ranks of different
@@ -113,8 +203,9 @@ type peventKernel struct {
 }
 
 // wake makes rank runnable at virtual time t on its owning worker's
-// heap. The at-most-one-outstanding-event-per-rank invariant of the
-// sequential kernel carries over unchanged.
+// heap. At most one event per rank is outstanding: the rank rescans its
+// wait condition on resume, so a single wake suffices no matter how many
+// new messages queued meanwhile.
 func (pw *peWorker) wake(rank int, t float64) {
 	k := pw.k
 	if k.scheduled[rank] || k.done[rank] {
@@ -151,7 +242,7 @@ func (pw *peWorker) release(idx int32) {
 
 // deliver queues m for rank dst (owned by this worker) and, when dst is
 // parked on a matching Recv, schedules its wake at the arrival time —
-// the staged/local twin of eventKernel.send.
+// the delivery half of send, shared by local sends and the window fold.
 func (pw *peWorker) deliver(m message, dst int) {
 	k := pw.k
 	idx := pw.alloc(m)
@@ -161,9 +252,8 @@ func (pw *peWorker) deliver(m message, dst int) {
 	}
 }
 
-// send implements engine: same-worker messages deliver immediately
-// (preserving the sequential kernel's behavior within a shard);
-// cross-worker messages park in the staging lane for the destination's
+// send is the event-kernel half of Isend: same-worker messages deliver
+// immediately; cross-worker messages park in the staging lane for the destination's
 // worker until the window fold.
 func (k *peventKernel) send(dst int, m message) {
 	sw := k.workers[k.owner[m.src]]
@@ -175,10 +265,11 @@ func (k *peventKernel) send(dst int, m message) {
 	sw.lanes[dw] = append(sw.lanes[dw], stagedMsg{m: m, dst: int32(dst)})
 }
 
-// recv implements engine: consume the first queued (src, tag) match, or
-// park until a sender (or a window fold merging a staged message)
-// schedules a wake. Identical matching and clock rules to the
-// sequential kernel.
+// recv is the event-kernel half of Recv: consume the first queued
+// (src, tag) match, or park until a sender (or a window fold merging a
+// staged message) schedules a wake. The clock advance in completeRecv
+// depends only on the matched message, so the wake time itself never
+// leaks into the timeline.
 func (k *peventKernel) recv(c *Comm, src, tag int) (any, error) {
 	rank := c.rank
 	pw := k.workers[k.owner[rank]]
@@ -202,9 +293,9 @@ func (k *peventKernel) recv(c *Comm, src, tag int) (any, error) {
 	}
 }
 
-// probe implements engine. Staged cross-worker messages are invisible
-// until their fold — which is exactly the visibility the sequential
-// kernels guarantee: Probe only promises to see messages whose send is
+// probe is the event-kernel half of Probe. Staged cross-worker messages
+// are invisible until their fold — which is exactly the visibility the
+// goroutine kernel guarantees: Probe only promises to see messages whose send is
 // ordered before it (own sends, or sends from before a completed
 // barrier), and barriers under this kernel release only after lanes
 // merge.
@@ -219,9 +310,10 @@ func (k *peventKernel) probe(rank, src, tag int) bool {
 	return false
 }
 
-// barrier implements engine. Arrival counting is the only cross-worker
-// rendezvous in the kernel, so it takes barMu. With one worker the last
-// arriver releases everyone directly (the sequential kernel's rule);
+// barrier is the event-kernel Barrier. Arrival counting is the only
+// cross-worker rendezvous in the kernel, so it takes barMu. With one
+// worker the last arriver releases everyone directly, pushing wakes in
+// ascending rank order at the release time;
 // with several, every participant — the last arriver included — parks
 // and leaves at the next window fold, after staged lanes merge, so
 // post-barrier Probe sees every pre-barrier message.
@@ -279,17 +371,18 @@ func (k *peventKernel) barrier(c *Comm) (float64, error) {
 		return out, nil
 	}
 	// Woken without a release: the world is failing. Withdraw so the
-	// count cannot go stale, mirroring the sequential kernels' abort.
+	// count cannot go stale, mirroring the goroutine barrier's abort.
 	k.barWaiting[rank] = false
 	k.barArrived--
 	k.barMu.Unlock()
 	return 0, fmt.Errorf("mpi: rank %d Barrier aborted: sibling rank failed", rank)
 }
 
-// failWake implements engine: a failing rank wakes its own worker's
-// parked ranks directly (its worker's heap is safely accessible from
-// the running coroutine); ranks of other workers are woken by the
-// coordinator at every fold while the fail flag is up.
+// failWake is called by a failing rank (Comm.Fail, an error return or a
+// panic): it wakes its own worker's parked ranks directly (its worker's
+// heap is safely accessible from the running coroutine); ranks of other
+// workers are woken by the coordinator at every fold while the fail
+// flag is up.
 func (k *peventKernel) failWake(rank int) {
 	pw := k.workers[k.owner[rank]]
 	pw.wakeBlock()
@@ -366,8 +459,9 @@ func peWorkerCount(workers, procs int) int {
 	return workers
 }
 
-// runPEvent drives fn across w.procs ranks under the parallel event
-// kernel and blocks until every rank returns. The calling goroutine
+// runPEvent drives fn across w.procs ranks under the event engine with
+// the given worker count (resolved by peWorkerCount; KernelEvent passes
+// 1) and blocks until every rank returns. The calling goroutine
 // becomes the window coordinator; each worker runs its shard's windows
 // on its own goroutine.
 func runPEvent(w *World, fn func(c *Comm) error, workers int) error {
@@ -464,7 +558,8 @@ func runPEvent(w *World, fn func(c *Comm) error, workers int) error {
 		if math.IsInf(floor, 1) {
 			// Every undone rank is parked, no lane or release is pending
 			// (fold drained them), and no heap holds an event: provable
-			// deadlock, exactly as in the sequential event kernel.
+			// deadlock. The goroutine kernel would hang here; this kernel
+			// can prove it and fail instead.
 			if k.deadlocked {
 				break
 			}
@@ -479,7 +574,7 @@ func runPEvent(w *World, fn func(c *Comm) error, workers int) error {
 		if nw == 1 {
 			// One worker needs no conservative horizon: there is no
 			// sibling to synchronize with, so the whole run is one window
-			// — the sequential event kernel with a different heap owner.
+			// (KernelEvent).
 			k.horizon = math.Inf(1)
 		} else {
 			k.horizon = floor + k.lookahead

@@ -104,9 +104,10 @@ func TestResumeEquivalenceOverlappedPooled(t *testing.T) {
 }
 
 func TestResumeEquivalenceSparseBookkeeping(t *testing.T) {
-	cfg := checkpointConfig(t, 4)
-	cfg.ForceSparseState = true
-	assertResumeEquivalence(t, cfg)
+	old := sparseStateThreshold
+	defer func() { sparseStateThreshold = old }()
+	sparseStateThreshold = 0 // every rank sparse, capture and resume alike
+	assertResumeEquivalence(t, checkpointConfig(t, 4))
 }
 
 func TestResumeEquivalencePerturbed(t *testing.T) {

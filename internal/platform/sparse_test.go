@@ -20,13 +20,20 @@ func runPair(t *testing.T, cfg Config) (*Result, *Result) {
 	if err != nil {
 		t.Fatalf("dense run: %v", err)
 	}
-	sp := cfg
-	sp.ForceSparseState = true
-	sparse, err := Run(sp)
+	sparse, err := runSparse(cfg)
 	if err != nil {
 		t.Fatalf("sparse run: %v", err)
 	}
 	return dense, sparse
+}
+
+// runSparse runs cfg with sparseStateThreshold lowered to 0, so every
+// rank uses the sparse bookkeeping regardless of Procs.
+func runSparse(cfg Config) (*Result, error) {
+	old := sparseStateThreshold
+	defer func() { sparseStateThreshold = old }()
+	sparseStateThreshold = 0
+	return Run(cfg)
 }
 
 func assertResultsIdentical(t *testing.T, label string, dense, sparse *Result) {
@@ -95,7 +102,7 @@ func TestSparseStateMatchesDenseWithMigration(t *testing.T) {
 }
 
 // TestSparseThresholdEngages checks the automatic switch: above
-// sparseStateThreshold ranks go sparse without ForceSparseState, and the
+// sparseStateThreshold ranks go sparse, and the
 // results still match the dense run of the same configuration.
 func TestSparseThresholdEngages(t *testing.T) {
 	old := sparseStateThreshold

@@ -69,10 +69,10 @@ type Params struct {
 	Iterations int `json:"iterations"`
 	// Kernel names the mpi execution engine: "goroutine" (the default —
 	// one goroutine per rank, the engine every pinned docgen table and
-	// golden trace was measured on), "event" (discrete-event scheduler,
-	// bit-identical virtual timeline, built for thousands of simulated
-	// processors) or "pevent" (conservative parallel event scheduler,
-	// bit-identical at any worker count). See mpi.KernelNames.
+	// golden trace was measured on), "pevent" (conservative parallel
+	// event scheduler, bit-identical at any worker count) or "event"
+	// (that scheduler at one worker, built for thousands of simulated
+	// processors). See mpi.KernelNames.
 	Kernel string `json:"kernel"`
 	// KernelWorkers sets the "pevent" kernel's worker count (0 means
 	// min(GOMAXPROCS, procs)); ignored by the other kernels. A host-side

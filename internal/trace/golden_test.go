@@ -126,7 +126,7 @@ func TestGoldenHeatTraceBrownout(t *testing.T) {
 	}
 	// The event kernel must reproduce the perturbed golden byte for byte:
 	// epoch advancement and time-varying pricing behave identically under
-	// the discrete-event scheduler.
+	// the event scheduler.
 	if event := heatTraceKernel(t, scenario.BuffersPooled, "", "brownout", "event"); !bytes.Equal(got, event) {
 		t.Error("event-kernel brownout trace differs from the golden goroutine-kernel trace")
 	}

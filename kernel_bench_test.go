@@ -1,8 +1,8 @@
 package ic2mpi_test
 
 // Benchmark guards for the execution kernels. Two kinds of pins live
-// here: host-time/memory benchmarks comparing the discrete-event
-// scheduler against the goroutine-per-rank kernel, and a regression
+// here: host-time/memory benchmarks comparing the event scheduler
+// against the goroutine-per-rank kernel, and a regression
 // guard that holds the BenchmarkExchange* allocation counts documented
 // in docs/benchmarks.md to their pinned values on the default kernel —
 // the event-kernel and sparse-state work must not cost the dense fast
@@ -21,10 +21,10 @@ import (
 // execution kernels on the same simulated world (hex64-fine, identical
 // virtual timelines). At small proc counts the goroutine kernel's
 // parallelism wins; as the simulated machine grows, per-rank channels
-// and scheduler churn make it fall behind the event kernels' priority
-// queues. The parallel event kernel tracks the sequential event kernel
-// on a single-core host and pulls ahead with real cores, worker count
-// permitting. The crossover is the table recorded in docs/benchmarks.md.
+// and scheduler churn make it fall behind the event scheduler's priority
+// queues. "event" is that scheduler at one worker; "pevent" auto-sizes
+// its workers, so it matches "event" on a single-core host and pulls
+// ahead with real cores, worker count permitting. The crossover is the table recorded in docs/benchmarks.md.
 func BenchmarkKernelHostTime(b *testing.B) {
 	sc, err := scenario.Get("hex64-fine")
 	if err != nil {
