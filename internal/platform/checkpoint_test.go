@@ -103,13 +103,6 @@ func TestResumeEquivalenceOverlappedPooled(t *testing.T) {
 	assertResumeEquivalence(t, cfg)
 }
 
-func TestResumeEquivalenceSparseBookkeeping(t *testing.T) {
-	old := sparseStateThreshold
-	defer func() { sparseStateThreshold = old }()
-	sparseStateThreshold = 0 // every rank sparse, capture and resume alike
-	assertResumeEquivalence(t, checkpointConfig(t, 4))
-}
-
 func TestResumeEquivalencePerturbed(t *testing.T) {
 	cfg := checkpointConfig(t, 4)
 	sched, err := fault.Parse("brownout")

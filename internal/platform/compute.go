@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"slices"
 
 	"ic2mpi/internal/graph"
 	"ic2mpi/internal/mpi"
@@ -11,38 +12,6 @@ import (
 // processor per exchange, tagged with the sub-phase so multi-sub-phase
 // applications (battlefield) never cross-match rounds.
 func tagShadow(sub int) int { return 100 + sub }
-
-// sendSet is one exchange's per-destination send buffers in either
-// bookkeeping mode: dense is indexed by processor (exactly the original
-// [][]shadowUpdate), sparse is keyed by neighboring processor. Passed by
-// value — it is a two-word view, and keeping the dense path's call shape
-// unchanged keeps its allocation profile exactly as pinned by the
-// exchange benchmarks. A zero sendSet means "don't pack" (internal
-// nodes).
-type sendSet struct {
-	dense  [][]shadowUpdate
-	sparse map[int][]shadowUpdate
-}
-
-// packing reports whether this set accepts packed updates.
-func (b sendSet) packing() bool { return b.dense != nil || b.sparse != nil }
-
-// add appends one update to destination p's buffer.
-func (b sendSet) add(p int, u shadowUpdate) {
-	if b.dense != nil {
-		b.dense[p] = append(b.dense[p], u)
-		return
-	}
-	b.sparse[p] = append(b.sparse[p], u)
-}
-
-// get returns destination p's buffer.
-func (b sendSet) get(p int) []shadowUpdate {
-	if b.dense != nil {
-		return b.dense[p]
-	}
-	return b.sparse[p]
-}
 
 // computeAndCommunicate runs one compute+communicate round (Figures 8 and
 // 8a). It updates every owned node with the user's node function, packs
@@ -61,7 +30,7 @@ func (s *rankState) roundBasic(iter, sub int) error {
 	buffers := s.makeBuffers()
 	// Compute over nodes: internal first, then peripheral.
 	for _, node := range s.internal {
-		if err := s.computeNode(node, iter, sub, sendSet{}); err != nil {
+		if err := s.computeNode(node, iter, sub, nil); err != nil {
 			return err
 		}
 	}
@@ -91,29 +60,17 @@ func (s *rankState) roundOverlapped(iter, sub int) error {
 	if err := s.sendBuffers(buffers, sub); err != nil {
 		return err
 	}
-	reqs := make(map[int]*mpi.Request)
-	if s.sparse {
-		for _, p := range s.recvProcs {
-			r, err := s.comm.Irecv(p, tagShadow(sub))
-			if err != nil {
-				return err
-			}
-			reqs[p] = r
+	reqs := make([]*mpi.Request, len(s.nbrs))
+	for i, nb := range s.nbrs {
+		r, err := s.comm.Irecv(nb.proc, tagShadow(sub))
+		if err != nil {
+			return err
 		}
-	} else {
-		for p := 0; p < s.cfg.Procs; p++ {
-			if s.recvCount[p] > 0 {
-				r, err := s.comm.Irecv(p, tagShadow(sub))
-				if err != nil {
-					return err
-				}
-				reqs[p] = r
-			}
-		}
+		reqs[i] = r
 	}
 	// Remainder of the computation proceeds while communication continues.
 	for _, node := range s.internal {
-		if err := s.computeNode(node, iter, sub, sendSet{}); err != nil {
+		if err := s.computeNode(node, iter, sub, nil); err != nil {
 			return err
 		}
 	}
@@ -121,84 +78,43 @@ func (s *rankState) roundOverlapped(iter, sub int) error {
 	return s.recvShadows(sub, reqs)
 }
 
-// makeBuffers returns one send buffer per destination processor, sized
-// from sendCount ("the data structure chosen for the communication buffers
-// gives optimum memory usage"). Without ReuseBuffers every exchange gets
-// fresh allocations, matching the C original's malloc-per-round; with it
-// the buffers come from the parity-indexed pool and are allocation-free
-// once capacities have warmed up (see the sendPool comment in state.go for
-// why a two-generation gap is sufficient).
-func (s *rankState) makeBuffers() sendSet {
-	if s.sparse {
-		return s.makeBuffersSparse()
-	}
+// makeBuffers returns one send buffer per processor in nbrs, sized from
+// its send count ("the data structure chosen for the communication
+// buffers gives optimum memory usage"). Without ReuseBuffers every
+// exchange gets fresh allocations, matching the C original's
+// malloc-per-round; with it the buffers come from the parity-indexed pool
+// and are allocation-free once capacities have warmed up (see the
+// sendPool comment in state.go for why a two-generation gap is
+// sufficient).
+func (s *rankState) makeBuffers() [][]shadowUpdate {
 	if !s.cfg.ReuseBuffers {
-		buffers := make([][]shadowUpdate, s.cfg.Procs)
-		for p, n := range s.sendCount {
-			if n > 0 {
-				buffers[p] = make([]shadowUpdate, 0, n)
-			}
+		buffers := make([][]shadowUpdate, len(s.nbrs))
+		for i, nb := range s.nbrs {
+			buffers[i] = make([]shadowUpdate, 0, nb.send)
 		}
-		return sendSet{dense: buffers}
+		return buffers
 	}
-	set := s.sendPool[s.exchanges%2]
-	if set == nil {
-		set = make([][]shadowUpdate, s.cfg.Procs)
-		s.sendPool[s.exchanges%2] = set
-	}
+	gen := &s.sendPool[s.exchanges%2]
 	s.exchanges++
-	for p, n := range s.sendCount {
-		switch {
-		case n == 0:
-			set[p] = nil
-		case cap(set[p]) < n:
-			set[p] = make([]shadowUpdate, 0, n)
-		default:
-			set[p] = set[p][:0]
-		}
+	if !slices.EqualFunc(gen.nbrs, s.nbrs, func(a, b nbrProc) bool { return a.proc == b.proc }) {
+		gen.nbrs = append(gen.nbrs[:0], s.nbrs...)
+		gen.bufs = make([][]shadowUpdate, len(s.nbrs))
 	}
-	return sendSet{dense: set}
-}
-
-// makeBuffersSparse is makeBuffers for the neighbor-keyed bookkeeping:
-// buffers exist only for actual destinations, so a rank's exchange
-// footprint is O(degree) instead of O(P). The pooled variant follows the
-// same two-generation parity discipline as the dense pool.
-func (s *rankState) makeBuffersSparse() sendSet {
-	if !s.cfg.ReuseBuffers {
-		buffers := make(map[int][]shadowUpdate, len(s.sendProcs))
-		for _, p := range s.sendProcs {
-			buffers[p] = make([]shadowUpdate, 0, s.sendCountM[p])
-		}
-		return sendSet{sparse: buffers}
-	}
-	set := s.sendPoolSparse[s.exchanges%2]
-	if set == nil {
-		set = make(map[int][]shadowUpdate, len(s.sendProcs))
-		s.sendPoolSparse[s.exchanges%2] = set
-	}
-	s.exchanges++
-	for p := range set {
-		if s.sendCountM[p] == 0 {
-			delete(set, p)
-		}
-	}
-	for _, p := range s.sendProcs {
-		n := s.sendCountM[p]
-		if cap(set[p]) < n {
-			set[p] = make([]shadowUpdate, 0, n)
+	for i, nb := range s.nbrs {
+		if cap(gen.bufs[i]) < nb.send {
+			gen.bufs[i] = make([]shadowUpdate, 0, nb.send)
 		} else {
-			set[p] = set[p][:0]
+			gen.bufs[i] = gen.bufs[i][:0]
 		}
 	}
-	return sendSet{sparse: set}
+	return gen.bufs
 }
 
 // computeNode forms the node+neighbors list, invokes the node function,
 // stores the new data in most_recent, and (for peripheral nodes) packs the
 // update into the outgoing buffers. Time is attributed to the compute and
 // overhead phases exactly as Figures 21-22 split them.
-func (s *rankState) computeNode(node *ownNode, iter, sub int, buffers sendSet) error {
+func (s *rankState) computeNode(node *ownNode, iter, sub int, buffers [][]shadowUpdate) error {
 	e := s.table.Lookup(node.id)
 	if e == nil {
 		return fmt.Errorf("platform: rank %d: no data entry for owned node %d", s.me, node.id)
@@ -252,9 +168,15 @@ func (s *rankState) computeNode(node *ownNode, iter, sub int, buffers sendSet) e
 	s.phase[PhaseComputeOverhead] += t3 - t2
 
 	// Pack updated peripheral node data into communication buffers.
-	if node.peripheral && buffers.packing() {
+	// Both shadowFor and nbrs ascend, and rebuildCounts put every
+	// shadowFor processor in nbrs, so one forward scan finds each slot.
+	if node.peripheral {
+		slot := 0
 		for _, p := range node.shadowFor {
-			buffers.add(p, shadowUpdate{id: node.id, data: newData})
+			for s.nbrs[slot].proc != p {
+				slot++
+			}
+			buffers[slot] = append(buffers[slot], shadowUpdate{id: node.id, data: newData})
 			s.comm.Charge(s.cfg.Overheads.PackPerNode)
 		}
 		s.phase[PhaseCommOverhead] += s.comm.Wtime() - t3
@@ -281,58 +203,35 @@ func (s *rankState) flipMostRecent() {
 	s.phase[PhaseComputeOverhead] += s.comm.Wtime() - t0
 }
 
-// sendBuffers dispatches one nonblocking send per neighboring processor,
-// in ascending destination order in both bookkeeping modes.
-func (s *rankState) sendBuffers(buffers sendSet, sub int) error {
+// sendBuffers dispatches one nonblocking send per processor in nbrs, in
+// ascending destination order.
+func (s *rankState) sendBuffers(buffers [][]shadowUpdate, sub int) error {
 	t0 := s.comm.Wtime()
-	if s.sparse {
-		for _, p := range s.sendProcs {
-			if err := s.sendBufferTo(p, s.sendCountM[p], buffers, sub); err != nil {
-				return err
-			}
+	for i, nb := range s.nbrs {
+		buf := buffers[i]
+		if len(buf) != nb.send {
+			return fmt.Errorf("platform: rank %d packed %d updates for proc %d, expected %d",
+				s.me, len(buf), nb.proc, nb.send)
 		}
-	} else {
-		for p := 0; p < s.cfg.Procs; p++ {
-			if s.sendCount[p] == 0 {
-				continue
-			}
-			if err := s.sendBufferTo(p, s.sendCount[p], buffers, sub); err != nil {
-				return err
-			}
+		if err := s.comm.Isend(nb.proc, tagShadow(sub), buf, updateBytes(buf)); err != nil {
+			return err
 		}
 	}
 	s.phase[PhaseCommunicate] += s.comm.Wtime() - t0
 	return nil
 }
 
-// sendBufferTo validates and dispatches the buffer bound for processor p.
-func (s *rankState) sendBufferTo(p, want int, buffers sendSet, sub int) error {
-	buf := buffers.get(p)
-	if len(buf) != want {
-		return fmt.Errorf("platform: rank %d packed %d updates for proc %d, expected %d",
-			s.me, len(buf), p, want)
-	}
-	return s.comm.Isend(p, tagShadow(sub), buf, updateBytes(buf))
-}
-
-// recvShadows receives one buffer from every processor that owns shadows
-// of ours and applies the updates to the data store. When reqs is non-nil
-// (overlapped variant) the already-posted requests are completed instead
-// of issuing fresh receives.
-func (s *rankState) recvShadows(sub int, reqs map[int]*mpi.Request) error {
-	if s.sparse {
-		for _, p := range s.recvProcs {
-			if err := s.recvShadowsFrom(p, s.recvCountM[p], sub, reqs); err != nil {
-				return err
-			}
+// recvShadows receives one buffer from every processor in nbrs and applies
+// the updates to the data store. When reqs is non-nil (overlapped variant)
+// it holds the already-posted requests, indexed like nbrs, and they are
+// completed instead of issuing fresh receives.
+func (s *rankState) recvShadows(sub int, reqs []*mpi.Request) error {
+	for i, nb := range s.nbrs {
+		var req *mpi.Request
+		if reqs != nil {
+			req = reqs[i]
 		}
-		return nil
-	}
-	for p := 0; p < s.cfg.Procs; p++ {
-		if s.recvCount[p] == 0 {
-			continue
-		}
-		if err := s.recvShadowsFrom(p, s.recvCount[p], sub, reqs); err != nil {
+		if err := s.recvShadowsFrom(nb.proc, nb.recv, sub, req); err != nil {
 			return err
 		}
 	}
@@ -340,13 +239,14 @@ func (s *rankState) recvShadows(sub int, reqs map[int]*mpi.Request) error {
 }
 
 // recvShadowsFrom completes one receive from processor p (expecting want
-// updates) and applies the updates to the data store.
-func (s *rankState) recvShadowsFrom(p, want, sub int, reqs map[int]*mpi.Request) error {
+// updates), through req if it is already posted, and applies the updates
+// to the data store.
+func (s *rankState) recvShadowsFrom(p, want, sub int, req *mpi.Request) error {
 	t0 := s.comm.Wtime()
 	var payload any
 	var err error
-	if reqs != nil {
-		payload, err = reqs[p].Wait()
+	if req != nil {
+		payload, err = req.Wait()
 	} else {
 		payload, err = s.comm.Recv(p, tagShadow(sub))
 	}

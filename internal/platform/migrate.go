@@ -117,8 +117,8 @@ func (s *rankState) recordLoadSample(iter int, times []float64) {
 func (s *rankState) balanceRound(iter int, times *[]float64) (int, error) {
 	// One gather carries both the communication-buffer-size vector (the
 	// processor graph's edge weights) and the owned-node count used by the
-	// estimated-time update. sendRow materializes the dense vector even in
-	// sparse bookkeeping mode — the balancer's processor graph is dense.
+	// estimated-time update. sendRow expands the rank's neighbor list into
+	// the dense vector, because the balancer's processor graph is dense.
 	row := s.sendRow()
 	gathered, err := s.comm.GatherInts(0, row)
 	if err != nil {

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ic2mpi/internal/graph"
@@ -44,46 +45,39 @@ type rankState struct {
 
 	table *HashTable // own + shadow data entries
 
-	// sendCount[p] is the number of my peripheral nodes that are shadows
-	// for processor p (buffer_size_for_communication).
-	sendCount []int
-	// recvCount[p] is the number of shadow nodes I hold that p owns; I
-	// expect exactly one update per such node per exchange.
-	recvCount []int
-
-	// sparse replaces the dense count vectors with neighbor-keyed maps.
-	// A rank in a P-processor world talks to O(degree) neighbors, so the
-	// dense sendCount/recvCount cost O(P) memory per rank — O(P²) across
-	// the world — which is what caps the goroutine-kernel sweeps around a
-	// thousand ranks. Above sparseStateThreshold the rank keeps only the
-	// processors it actually exchanges with, in sendCountM/recvCountM,
-	// plus sorted sendProcs/recvProcs so every loop still visits
-	// destinations in the same ascending-processor order the dense scans
-	// use — that ordering is what keeps the virtual timeline
-	// bit-identical across modes.
-	sparse     bool
-	sendCountM map[int]int
-	recvCountM map[int]int
-	sendProcs  []int
-	recvProcs  []int
+	// nbrs lists, ascending by processor, the neighboring processors this
+	// rank exchanges shadows with, each with its send count (how many of
+	// my peripheral nodes are shadows for it: buffer_size_for_communication)
+	// and its receive count (how many shadow nodes I hold that it owns; I
+	// expect exactly one update per such node per exchange). Both counts
+	// come from the neighbor lists of my peripheral nodes, so a processor
+	// I send to is always one I receive from and one list serves both
+	// directions. A rank keeps only the processors it actually exchanges
+	// with, so its bookkeeping is O(degree) rather than O(P), and every
+	// exchange loop visits them in ascending order, which fixes the
+	// virtual timeline at every Procs.
+	nbrs []nbrProc
+	// seen is rebuildCounts' scratch set of shadow nodes already counted,
+	// cleared and reused so that a warm rebuild allocates nothing.
+	seen map[graph.NodeID]struct{}
 
 	// Exchange buffer pool (Config.ReuseBuffers). sendPool holds two
-	// generations of per-destination send buffers; successive exchanges
-	// alternate generations, so a buffer handed to Isend in exchange k is
-	// only truncated and repacked in exchange k+2. That gap is what makes
-	// reuse safe under the runtime's deliver-by-reference contract: shadow
-	// exchange is symmetric (sendCount[p] > 0 iff recvCount[p] > 0), so
-	// receiving p's exchange-(k+1) buffer proves p finished its exchange k
-	// and has already unpacked everything we sent it in exchange k.
-	// nbrScratch is the recycled node+neighbors list handed to the node
-	// function. All three stay nil unless ReuseBuffers is on.
-	sendPool [2][][]shadowUpdate
-	// sendPoolSparse is the sparse-mode twin of sendPool: the same
-	// two-generation parity discipline, keyed by destination instead of
-	// indexed by it.
-	sendPoolSparse [2]map[int][]shadowUpdate
-	exchanges      int
-	nbrScratch     []Neighbor
+	// generations of send buffers indexed like nbrs; successive
+	// exchanges alternate generations, so a buffer handed to Isend in
+	// exchange k is only truncated and repacked in exchange k+2. Each
+	// generation records the processors it was packed for and is reused
+	// only while that list is unchanged; once a migration changes it the
+	// generation starts fresh, so a buffer is only ever repacked for the
+	// processor it was last sent to. That gap is what makes reuse safe
+	// under the runtime's deliver-by-reference contract: shadow exchange
+	// is symmetric (I send to p iff I receive from p), so receiving p's
+	// exchange-(k+1) buffer proves p finished its exchange k and has
+	// already unpacked everything we sent it in exchange k. nbrScratch is
+	// the recycled node+neighbors list handed to the node function. Both
+	// stay empty unless ReuseBuffers is on.
+	sendPool   [2]sendGeneration
+	exchanges  int
+	nbrScratch []Neighbor
 
 	phase [NumPhases]float64
 	// workTime is the compute time of the most recent full iteration — the
@@ -104,12 +98,19 @@ type rankState struct {
 	migrations int
 }
 
-// sparseStateThreshold is the processor count above which ranks switch
-// from dense per-processor count vectors to the sparse neighbor-keyed
-// bookkeeping (see rankState.sparse). A package variable rather than a
-// constant so white-box tests can lower it to pit the sparse bookkeeping
-// against the dense fast path at small scale.
-var sparseStateThreshold = 1024
+// nbrProc is one neighboring processor with its per-exchange send and
+// receive update counts.
+type nbrProc struct {
+	proc       int
+	send, recv int
+}
+
+// sendGeneration is one generation of the exchange buffer pool: bufs[i]
+// was last packed for and sent to nbrs[i].proc.
+type sendGeneration struct {
+	nbrs []nbrProc
+	bufs [][]shadowUpdate
+}
 
 // shadowUpdate is one packed buffer element (struct buffer_data_node):
 // global ID plus the node's updated data.
@@ -131,29 +132,11 @@ func updateBytes(us []shadowUpdate) int {
 // the hash table, charging the per-entry initialization overhead.
 func newRankState(cfg *Config, comm *mpi.Comm) (*rankState, error) {
 	t0 := comm.Wtime()
-	s := &rankState{
-		cfg:   cfg,
-		comm:  comm,
-		me:    comm.Rank(),
-		speed: cfg.Network.Speed(comm.Rank()),
-		owner: append([]int(nil), cfg.InitialPartition...),
-		byID:  make(map[graph.NodeID]*ownNode),
-	}
-	n := cfg.Graph.NumVertices()
-	buckets := n/2 + 1
-	table, err := NewHashTable(buckets)
+	s, err := emptyRankState(cfg, comm, cfg.InitialPartition)
 	if err != nil {
 		return nil, err
 	}
-	s.table = table
-	s.sparse = cfg.Procs > sparseStateThreshold
-	if s.sparse {
-		s.sendCountM = make(map[int]int)
-		s.recvCountM = make(map[int]int)
-	} else {
-		s.sendCount = make([]int, cfg.Procs)
-		s.recvCount = make([]int, cfg.Procs)
-	}
+	n := cfg.Graph.NumVertices()
 
 	entries := 0
 	// Build own node lists and own data entries.
@@ -202,6 +185,36 @@ func newRankState(cfg *Config, comm *mpi.Comm) (*rankState, error) {
 	return s, nil
 }
 
+// emptyRankState returns one rank's state with its own copy of the owner
+// map and an empty hash table sized from the nodes it owns; newRankState
+// and restoreRankState fill in the node lists and data entries.
+func emptyRankState(cfg *Config, comm *mpi.Comm, owner []int) (*rankState, error) {
+	me := comm.Rank()
+	owned := 0
+	for _, p := range owner {
+		if p == me {
+			owned++
+		}
+	}
+	// At most 8 buckets per owned node leaves room for the shadows and for
+	// nodes migrated in, without giving a rank of a huge world a table
+	// sized for half the graph.
+	table, err := NewHashTable(min(len(owner)/2, 8*owned) + 1)
+	if err != nil {
+		return nil, err
+	}
+	return &rankState{
+		cfg:   cfg,
+		comm:  comm,
+		me:    me,
+		speed: cfg.Network.Speed(me),
+		owner: append([]int(nil), owner...),
+		byID:  make(map[graph.NodeID]*ownNode),
+		table: table,
+		seen:  make(map[graph.NodeID]struct{}),
+	}, nil
+}
+
 // classify recomputes a node's peripheral flag and shadowFor set from the
 // current owner map.
 func (s *rankState) classify(node *ownNode) {
@@ -229,77 +242,58 @@ func containsInt(xs []int, x int) bool {
 	return false
 }
 
-// rebuildCounts recomputes sendCount and recvCount from the node lists and
-// the owner map. sendCount falls out of the peripheral shadowFor sets;
-// recvCount counts distinct shadow nodes per owning processor. In sparse
-// mode the counts live in maps and the sorted sendProcs/recvProcs lists
-// are rebuilt alongside.
+// rebuildCounts recomputes nbrs from the node lists and the owner map.
+// The send counts fall out of the peripheral shadowFor sets; the receive
+// counts count distinct shadow nodes per owning processor. The list is
+// rebuilt in place, so once its capacity has warmed up a rebuild
+// allocates nothing.
 func (s *rankState) rebuildCounts() {
-	if s.sparse {
-		clear(s.sendCountM)
-		clear(s.recvCountM)
+	if cap(s.nbrs) == 0 {
+		// Reserve room for every processor this rank can neighbor, so the
+		// list is not grown one insert at a time.
+		bound := 0
 		for _, node := range s.peripheral {
-			for _, p := range node.shadowFor {
-				s.sendCountM[p]++
-			}
+			bound += len(node.shadowFor)
 		}
-		seen := make(map[graph.NodeID]bool)
-		for _, node := range s.peripheral {
-			for _, u := range node.neighbors {
-				p := s.owner[u]
-				if p != s.me && !seen[u] {
-					seen[u] = true
-					s.recvCountM[p]++
-				}
-			}
-		}
-		s.sendProcs = sortedProcs(s.sendCountM, s.sendProcs)
-		s.recvProcs = sortedProcs(s.recvCountM, s.recvProcs)
-		return
+		s.nbrs = make([]nbrProc, 0, min(bound, s.cfg.Procs-1))
 	}
-	for p := range s.sendCount {
-		s.sendCount[p] = 0
-		s.recvCount[p] = 0
-	}
+	s.nbrs = s.nbrs[:0]
+	clear(s.seen)
 	for _, node := range s.peripheral {
 		for _, p := range node.shadowFor {
-			s.sendCount[p]++
+			s.nbr(p).send++
 		}
-	}
-	seen := make(map[graph.NodeID]bool)
-	for _, node := range s.peripheral {
 		for _, u := range node.neighbors {
-			p := s.owner[u]
-			if p != s.me && !seen[u] {
-				seen[u] = true
-				s.recvCount[p]++
+			if s.owner[u] == s.me {
+				continue
 			}
+			if _, ok := s.seen[u]; ok {
+				continue
+			}
+			s.seen[u] = struct{}{}
+			s.nbr(s.owner[u]).recv++
 		}
 	}
 }
 
-// sortedProcs collects a count map's keys in ascending order, reusing buf.
-func sortedProcs(counts map[int]int, buf []int) []int {
-	buf = buf[:0]
-	for p := range counts {
-		buf = append(buf, p)
+// nbr returns processor p's entry in nbrs, inserting it in order if it is
+// not listed yet.
+func (s *rankState) nbr(p int) *nbrProc {
+	i, found := slices.BinarySearchFunc(s.nbrs, p, func(nb nbrProc, p int) int { return nb.proc - p })
+	if !found {
+		s.nbrs = slices.Insert(s.nbrs, i, nbrProc{proc: p})
 	}
-	sort.Ints(buf)
-	return buf
+	return &s.nbrs[i]
 }
 
 // sendRow materializes the dense per-processor send-count vector (with
 // numOwned appended — the row the load balancer gathers at rank 0). The
-// balancer's processor graph is inherently dense, so sparse mode pays the
-// O(P) expansion only inside balancing rounds, never per exchange.
+// balancer's processor graph is inherently dense, so the O(P) expansion
+// is paid only inside balancing rounds, never per exchange.
 func (s *rankState) sendRow() []int {
 	row := make([]int, s.cfg.Procs+1)
-	if s.sparse {
-		for _, p := range s.sendProcs {
-			row[p] = s.sendCountM[p]
-		}
-	} else {
-		copy(row, s.sendCount)
+	for _, nb := range s.nbrs {
+		row[nb.proc] = nb.send
 	}
 	row[s.cfg.Procs] = s.numOwned()
 	return row

@@ -5,8 +5,8 @@ package ic2mpi_test
 // against the goroutine-per-rank kernel, and a regression
 // guard that holds the BenchmarkExchange* allocation counts documented
 // in docs/benchmarks.md to their pinned values on the default kernel —
-// the event-kernel and sparse-state work must not cost the dense fast
-// path anything.
+// the event-kernel and rank-state work must not cost the exchange path
+// anything.
 
 import (
 	"fmt"

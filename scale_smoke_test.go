@@ -4,9 +4,10 @@ package ic2mpi_test
 // of simulated processors on one host. These tests run the paper's
 // hex64-fine scenario at 4096 and 16384 simulated procs under the event
 // and parallel event kernels and assert both completion and a per-rank
-// memory ceiling — the
-// flat-memory property that the sparse rank bookkeeping and matrix-free
-// topologies buy. Skipped with -short; CI runs them in a dedicated job.
+// memory ceiling — the flat-memory property that the per-rank neighbor
+// lists and matrix-free topologies buy. Skipped with -short; CI runs them
+// in a dedicated job. TestFinalDataAt2048Ranks checks the node data
+// itself at a scale the kernel-equivalence grid does not reach.
 
 import (
 	"fmt"
@@ -16,6 +17,10 @@ import (
 	"testing"
 	"time"
 
+	"ic2mpi/internal/graph"
+	"ic2mpi/internal/mpi"
+	"ic2mpi/internal/netmodel"
+	"ic2mpi/internal/partition"
 	"ic2mpi/internal/platform"
 	"ic2mpi/internal/scenario"
 )
@@ -79,10 +84,10 @@ func TestEventKernelScaleSmoke(t *testing.T) {
 	}
 	// The ceiling is deliberately generous: the dominant per-rank costs
 	// are one suspended goroutine stack (the coroutine carrier the event
-	// kernel parks ranks on) plus the sparse rank state, together well
-	// under 16 KiB on every measured configuration. A regression to
-	// dense O(P) per-rank vectors or per-rank channel mailboxes blows
-	// through it by an order of magnitude.
+	// kernel parks ranks on) plus the rank state, whose neighbor lists
+	// are O(degree), together well under 16 KiB on every measured
+	// configuration. A regression to O(P) per-rank vectors or per-rank
+	// channel mailboxes blows through it by an order of magnitude.
 	const perRankCeiling = 32 << 10 // bytes
 	for _, kernel := range []string{"event", "pevent"} {
 		for _, procs := range []int{4096, 16384} {
@@ -120,5 +125,58 @@ func TestEventKernelScaleSmoke(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestFinalDataAt2048Ranks runs a 64x64 heat mesh on 2048 ranks (two
+// nodes each, RCB-partitioned) under every kernel and requires the
+// gathered final data to equal the sequential reference bit for bit.
+func TestFinalDataAt2048Ranks(t *testing.T) {
+	const procs = 2048
+	g, err := graph.HexGrid(64, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	part, err := partition.RCB{}.Partition(g, nil, procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := netmodel.New(netmodel.NameHypercube, procs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumVertices()
+	base := platform.Config{
+		Graph:            g,
+		Procs:            procs,
+		InitialPartition: part,
+		// Distinct data on every node, so a lost or misrouted shadow
+		// update shows in the result.
+		InitData:   func(id graph.NodeID) platform.NodeData { return scenario.Temp(int64(id) * 7919 % 1_000_003) },
+		Node:       scenario.HeatNode(n),
+		Iterations: 3,
+		Network:    net,
+	}
+	want, err := platform.RunSequential(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kernel := range []mpi.Kernel{mpi.KernelGoroutine, mpi.KernelEvent, mpi.KernelParallelEvent} {
+		t.Run("kernel="+kernel.String(), func(t *testing.T) {
+			cfg := base
+			cfg.Kernel = kernel
+			res, err := platform.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.FinalData) != n {
+				t.Fatalf("final data for %d nodes, want %d", len(res.FinalData), n)
+			}
+			for v := range want {
+				if res.FinalData[v] != want[v] {
+					t.Fatalf("node %d: final data %v, sequential %v", v, res.FinalData[v], want[v])
+				}
+			}
+		})
 	}
 }
