@@ -93,18 +93,6 @@ func BenchmarkAblationLBStrictRule(b *testing.B) {
 	ablationDynamic(b, 3, 4, &balance.CentralizedHeuristic{StrictAllNeighbors: true})
 }
 
-// Ablation 2b: pooled exchange buffers (Config.ReuseBuffers) vs the C
-// original's allocate-per-round protocol. virtual_s/op must be identical
-// (pooling is a pure host-side optimization; TestExchangeDeterminism
-// enforces this); B/op and allocs/op show the host-side saving.
-func BenchmarkAblationBuffersUnpooled(b *testing.B) {
-	ablationRun(b, func(c *platform.Config) { c.ReuseBuffers = false })
-}
-
-func BenchmarkAblationBuffersPooled(b *testing.B) {
-	ablationRun(b, func(c *platform.Config) { c.ReuseBuffers = true })
-}
-
 // Ablation 3: partitioner choice for the same workload.
 func ablationPartitioner(b *testing.B, pt ic2mpi.Partitioner, net *ic2mpi.Network) {
 	b.Helper()

@@ -122,7 +122,7 @@ func BenchmarkScenarioPageRankBSP(b *testing.B) { benchScenario(b, "pagerank-bsp
 // kernel_bench_test.go: the heat example's 16x16 hex mesh with a cheap
 // grain, so shadow packing, messaging and unpacking dominate each
 // iteration.
-func exchangeConfig(tb testing.TB, procs int, reuse bool) ic2mpi.Config {
+func exchangeConfig(tb testing.TB, procs int) ic2mpi.Config {
 	tb.Helper()
 	g, err := ic2mpi.HexGrid(16, 16)
 	if err != nil {
@@ -140,17 +140,16 @@ func exchangeConfig(tb testing.TB, procs int, reuse bool) ic2mpi.Config {
 		Node:             workload.Averaging(workload.UniformGrain(workload.FineGrain)),
 		Iterations:       50,
 		SkipFinalGather:  true,
-		ReuseBuffers:     reuse,
 	}
 }
 
 // benchExchange measures the exchange-heavy steady state. Allocation
-// counters (-benchmem) are the headline: with ReuseBuffers the
-// per-iteration compute/communicate round reuses pooled send buffers and
-// neighbor lists instead of allocating fresh ones.
-func benchExchange(b *testing.B, procs int, reuse bool) {
+// counters (-benchmem) are the headline: the per-iteration
+// compute/communicate round reuses pooled send buffers and neighbor lists
+// instead of allocating fresh ones.
+func benchExchange(b *testing.B, procs int) {
 	b.Helper()
-	cfg := exchangeConfig(b, procs, reuse)
+	cfg := exchangeConfig(b, procs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -160,10 +159,8 @@ func benchExchange(b *testing.B, procs int, reuse bool) {
 	}
 }
 
-func BenchmarkExchangeUnpooled8(b *testing.B)  { benchExchange(b, 8, false) }
-func BenchmarkExchangePooled8(b *testing.B)    { benchExchange(b, 8, true) }
-func BenchmarkExchangeUnpooled16(b *testing.B) { benchExchange(b, 16, false) }
-func BenchmarkExchangePooled16(b *testing.B)   { benchExchange(b, 16, true) }
+func BenchmarkExchange8(b *testing.B)  { benchExchange(b, 8) }
+func BenchmarkExchange16(b *testing.B) { benchExchange(b, 16) }
 
 // BenchmarkNetworkModels runs the same exchange-heavy steady state on
 // every named interconnect model, measuring the host-side cost of the
@@ -194,7 +191,6 @@ func BenchmarkNetworkModels(b *testing.B) {
 			Node:             workload.Averaging(workload.UniformGrain(workload.FineGrain)),
 			Iterations:       50,
 			SkipFinalGather:  true,
-			ReuseBuffers:     true,
 			Network:          model,
 		}
 		b.Run(name, func(b *testing.B) {

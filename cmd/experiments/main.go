@@ -23,9 +23,9 @@
 //	experiments -scenario heat -sweep "procs=1,2,4" -merge -manifest m1.json,m2.json,m3.json,m4.json
 //
 // The -sweep specification is semicolon-separated axis=value,value pairs
-// over the axes procs, partitioner, exchange (basic|overlap), buffers
-// (pooled|unpooled), balancer (none|centralized|centralized-strict|
-// diffusion|worksteal|hierarchical|predictive), network
+// over the axes procs, partitioner, exchange (basic|overlap), balancer
+// (none|centralized|centralized-strict|diffusion|worksteal|hierarchical|
+// predictive), network
 // (uniform|hypercube|mesh2d|fattree|hetgrid), perturb
 // (none|brownout|links|ramp|chaos, each optionally @<seed>), kernel (see
 // mpi.KernelNames: goroutine|event|pevent) and iters; unspecified axes
@@ -99,7 +99,7 @@ func main() {
 	run := flag.String("run", "", "paper experiment IDs, comma-separated (e.g. table7,fig12); empty runs all")
 	list := flag.Bool("list", false, "list experiment IDs and registered scenarios, then exit")
 	scen := flag.String("scenario", "", "registered scenario to sweep (see -list)")
-	sweep := flag.String("sweep", "", `sweep axes, e.g. "procs=1,2,4;partitioner=metis,pagrid;buffers=pooled,unpooled"`)
+	sweep := flag.String("sweep", "", `sweep axes, e.g. "procs=1,2,4;partitioner=metis,pagrid;exchange=basic,overlap"`)
 	balancer := flag.String("balancer", "", `dynamic load balancers to sweep, comma-separated (shorthand for the balancer axis), e.g. "none,centralized,worksteal"`)
 	network := flag.String("network", "", `interconnect models to sweep, comma-separated (shorthand for the network axis), e.g. "hypercube,mesh2d"`)
 	perturb := flag.String("perturb", "", `fault-injection schedules to sweep, comma-separated (shorthand for the perturb axis), e.g. "none,brownout,chaos@3"`)

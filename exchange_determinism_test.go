@@ -1,10 +1,14 @@
 package ic2mpi_test
 
-// Exchange determinism: the pooled exchange fast path (Config.ReuseBuffers)
-// must be a pure host-side optimization. For every workload, processor
-// count and communication variant, the virtual timeline and the final node
-// data must be bit-identical with the pool on and off — pooling recycles
-// memory, it must never change what is computed or when.
+// Exchange determinism: the exchange recycles its send buffers and the
+// neighbor lists it hands to the node function through a two-generation
+// pool, which must be a pure host-side optimization. For every workload,
+// processor count and communication variant, the final node data must
+// equal the sequential reference, and a run resumed from a mid-run
+// snapshot must reproduce the uninterrupted run bit for bit. A resumed
+// rank starts with an empty pool, so its first exchanges pack into fresh
+// generations where the uninterrupted run reuses warm ones: any state the
+// pool leaks into what is computed or when shows up as a difference.
 
 import (
 	"bytes"
@@ -15,6 +19,7 @@ import (
 	"ic2mpi"
 	"ic2mpi/internal/balance"
 	"ic2mpi/internal/fault"
+	"ic2mpi/internal/platform"
 	"ic2mpi/internal/scenario"
 	"ic2mpi/internal/trace"
 	"ic2mpi/internal/workload"
@@ -94,7 +99,7 @@ func quickstartConfig(t *testing.T, procs int) ic2mpi.Config {
 
 // dynamicConfig adds load balancing and task migration on top of the
 // quickstart workload (Fig. 23 imbalance schedule), so pooling is also
-// exercised across post-migration buffer-size changes.
+// exercised across post-migration neighbor and buffer-size changes.
 func dynamicConfig(t *testing.T, procs int) ic2mpi.Config {
 	cfg := quickstartConfig(t, procs)
 	cfg.Node = workload.Averaging(workload.Fig23Schedule(64, workload.CoarseGrain, workload.CoarseGrain/100))
@@ -102,6 +107,71 @@ func dynamicConfig(t *testing.T, procs int) ic2mpi.Config {
 	cfg.Balancer = &balance.CentralizedHeuristic{}
 	cfg.BalanceEvery = 5
 	return cfg
+}
+
+// assertPoolInvisible runs cfg uninterrupted, snapshotting every
+// iteration, and checks the two properties that pin the buffer pool: the
+// final node data equals RunSequential's, and a run resumed from the
+// snapshot at iteration cfg.Iterations/2 reproduces the uninterrupted
+// run's Elapsed, PhaseTimes, Stats, FinalData, FinalPartition and
+// Migrations. It returns the uninterrupted result and the resume
+// snapshot.
+func assertPoolInvisible(t *testing.T, cfg ic2mpi.Config) (*ic2mpi.Result, *platform.RunSnapshot) {
+	t.Helper()
+	mid := cfg.Iterations / 2
+	var snap *platform.RunSnapshot
+	warm := cfg
+	warm.CheckpointEvery = 1
+	warm.CheckpointSink = func(s *platform.RunSnapshot) error {
+		if s.Iter == mid {
+			snap = s
+		}
+		return nil
+	}
+	res, err := ic2mpi.Run(warm)
+	if err != nil {
+		t.Fatalf("uninterrupted run: %v", err)
+	}
+	want, err := ic2mpi.RunSequential(cfg)
+	if err != nil {
+		t.Fatalf("sequential reference: %v", err)
+	}
+	if len(res.FinalData) != len(want) {
+		t.Fatalf("final data length: run %d, sequential %d", len(res.FinalData), len(want))
+	}
+	for v := range want {
+		if res.FinalData[v] != want[v] {
+			t.Fatalf("node %d: run %v, sequential %v", v, res.FinalData[v], want[v])
+		}
+	}
+	if snap == nil {
+		t.Fatalf("no snapshot at iteration %d", mid)
+	}
+	resume := cfg
+	resume.ResumeFrom = snap
+	resumed, err := ic2mpi.Run(resume)
+	if err != nil {
+		t.Fatalf("resume at iteration %d: %v", mid, err)
+	}
+	if res.Elapsed != resumed.Elapsed {
+		t.Errorf("virtual time diverged: uninterrupted %v, resumed %v", res.Elapsed, resumed.Elapsed)
+	}
+	if !reflect.DeepEqual(res.PhaseTimes, resumed.PhaseTimes) {
+		t.Errorf("phase times diverged:\nuninterrupted %v\nresumed       %v", res.PhaseTimes, resumed.PhaseTimes)
+	}
+	if !reflect.DeepEqual(res.Stats, resumed.Stats) {
+		t.Errorf("stats diverged:\nuninterrupted %+v\nresumed       %+v", res.Stats, resumed.Stats)
+	}
+	if !reflect.DeepEqual(res.FinalData, resumed.FinalData) {
+		t.Errorf("final data diverged between the uninterrupted and resumed runs")
+	}
+	if !reflect.DeepEqual(res.FinalPartition, resumed.FinalPartition) {
+		t.Errorf("final partition diverged between the uninterrupted and resumed runs")
+	}
+	if res.Migrations != resumed.Migrations {
+		t.Errorf("migrations diverged: uninterrupted %d, resumed %d", res.Migrations, resumed.Migrations)
+	}
+	return res, snap
 }
 
 func TestExchangeDeterminism(t *testing.T) {
@@ -123,58 +193,16 @@ func TestExchangeDeterminism(t *testing.T) {
 					name += "/basic"
 				}
 				t.Run(name+"/procs="+string(rune('0'+procs)), func(t *testing.T) {
-					base := wl.cfg(t, procs)
-					base.Overlap = overlap
-					base.CheckInvariants = true
-
-					plain := base
-					plain.ReuseBuffers = false
-					pooled := base
-					pooled.ReuseBuffers = true
-
-					resPlain, err := ic2mpi.Run(plain)
-					if err != nil {
-						t.Fatalf("unpooled run: %v", err)
-					}
-					resPooled, err := ic2mpi.Run(pooled)
-					if err != nil {
-						t.Fatalf("pooled run: %v", err)
-					}
-					if resPlain.Elapsed != resPooled.Elapsed {
-						t.Errorf("virtual time diverged: unpooled %v, pooled %v", resPlain.Elapsed, resPooled.Elapsed)
-					}
-					if len(resPlain.FinalData) != len(resPooled.FinalData) {
-						t.Fatalf("final data length: unpooled %d, pooled %d", len(resPlain.FinalData), len(resPooled.FinalData))
-					}
-					for v := range resPlain.FinalData {
-						if resPlain.FinalData[v] != resPooled.FinalData[v] {
-							t.Fatalf("node %d: unpooled %v, pooled %v", v, resPlain.FinalData[v], resPooled.FinalData[v])
-						}
-					}
-					for p := range resPlain.FinalPartition {
-						if resPlain.FinalPartition[p] != resPooled.FinalPartition[p] {
-							t.Fatalf("node %d partition: unpooled proc %d, pooled proc %d",
-								p, resPlain.FinalPartition[p], resPooled.FinalPartition[p])
-						}
-					}
-					if resPlain.Migrations != resPooled.Migrations {
-						t.Errorf("migrations diverged: unpooled %d, pooled %d", resPlain.Migrations, resPooled.Migrations)
-					}
+					cfg := wl.cfg(t, procs)
+					cfg.Overlap = overlap
+					cfg.CheckInvariants = true
+					res, snap := assertPoolInvisible(t, cfg)
 					// At 2 procs the migration guard filters the Fig. 23
-					// imbalance away; from 4 procs up migrations must occur
-					// so pooling is exercised across ownership changes.
-					if wl.name == "dynamic" && procs >= 4 && resPooled.Migrations == 0 {
-						t.Error("dynamic case executed no migrations; pooling not exercised across ownership changes")
-					}
-					// Both must also match the sequential reference.
-					want, err := ic2mpi.RunSequential(pooled)
-					if err != nil {
-						t.Fatalf("sequential reference: %v", err)
-					}
-					for v := range want {
-						if resPooled.FinalData[v] != want[v] {
-							t.Fatalf("node %d: pooled %v, sequential %v", v, resPooled.FinalData[v], want[v])
-						}
+					// imbalance away; from 4 procs up nodes must move after
+					// the resume point, so the resumed run's cold pool is
+					// carried across ownership changes.
+					if wl.name == "dynamic" && procs >= 4 && reflect.DeepEqual(snap.Owner, res.FinalPartition) {
+						t.Error("dynamic case migrated no node after the resume point; pool not exercised across ownership changes")
 					}
 				})
 			}
@@ -183,11 +211,10 @@ func TestExchangeDeterminism(t *testing.T) {
 }
 
 // TestExchangeDeterminismNetworks extends the pooling contract over the
-// interconnect axis: on every named network model, pooled and unpooled
-// runs must produce identical virtual timelines and node data, and the
-// node data must match the sequential reference regardless of the
-// machine — the interconnect prices time, it never changes what is
-// computed.
+// interconnect axis: on every named network model the node data must
+// match the sequential reference and a resumed run must reproduce the
+// uninterrupted one — the interconnect prices time, it never changes
+// what is computed.
 func TestExchangeDeterminismNetworks(t *testing.T) {
 	for _, network := range ic2mpi.NetworkModels() {
 		for _, procs := range []int{4, 8} {
@@ -196,49 +223,21 @@ func TestExchangeDeterminismNetworks(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				base := heatConfig(t, procs)
-				base.Network = model
-				base.CheckInvariants = true
-
-				plain := base
-				plain.ReuseBuffers = false
-				pooled := base
-				pooled.ReuseBuffers = true
-
-				resPlain, err := ic2mpi.Run(plain)
-				if err != nil {
-					t.Fatalf("unpooled run: %v", err)
-				}
-				resPooled, err := ic2mpi.Run(pooled)
-				if err != nil {
-					t.Fatalf("pooled run: %v", err)
-				}
-				if resPlain.Elapsed != resPooled.Elapsed {
-					t.Errorf("virtual time diverged: unpooled %v, pooled %v", resPlain.Elapsed, resPooled.Elapsed)
-				}
-				want, err := ic2mpi.RunSequential(pooled)
-				if err != nil {
-					t.Fatalf("sequential reference: %v", err)
-				}
-				for v := range want {
-					if resPooled.FinalData[v] != want[v] {
-						t.Fatalf("node %d: pooled %v, sequential %v", v, resPooled.FinalData[v], want[v])
-					}
-					if resPlain.FinalData[v] != want[v] {
-						t.Fatalf("node %d: unpooled %v, sequential %v", v, resPlain.FinalData[v], want[v])
-					}
-				}
+				cfg := heatConfig(t, procs)
+				cfg.Network = model
+				cfg.CheckInvariants = true
+				assertPoolInvisible(t, cfg)
 			})
 		}
 	}
 }
 
 // TestExchangeDeterminismPerturbed extends the pooling contract over
-// the fault-injection axis: under every perturbation schedule, pooled
-// and unpooled runs must produce identical virtual timelines and node
-// data, repeated runs must be bit-identical, and the node data must
-// match the sequential reference — perturbation prices time, it never
-// changes what is computed.
+// the fault-injection axis: under every perturbation schedule the node
+// data must match the sequential reference, a resumed run must
+// reproduce the uninterrupted one, and repeated runs must be
+// bit-identical — perturbation prices time, it never changes what is
+// computed.
 func TestExchangeDeterminismPerturbed(t *testing.T) {
 	for _, spec := range ic2mpi.Perturbations() {
 		if spec == "none" {
@@ -246,39 +245,23 @@ func TestExchangeDeterminismPerturbed(t *testing.T) {
 		}
 		for _, procs := range []int{4, 8} {
 			t.Run(spec+"/procs="+string(rune('0'+procs)), func(t *testing.T) {
-				base := heatConfig(t, procs)
+				cfg := heatConfig(t, procs)
 				model, err := ic2mpi.NewNetworkModel("hypercube", procs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				base.Network, err = ic2mpi.PerturbNetwork(model, spec, procs, base.Iterations)
+				cfg.Network, err = ic2mpi.PerturbNetwork(model, spec, procs, cfg.Iterations)
 				if err != nil {
 					t.Fatal(err)
 				}
-				base.CheckInvariants = true
-
-				plain := base
-				plain.ReuseBuffers = false
-				pooled := base
-				pooled.ReuseBuffers = true
-
-				resPlain, err := ic2mpi.Run(plain)
-				if err != nil {
-					t.Fatalf("unpooled run: %v", err)
-				}
-				resPooled, err := ic2mpi.Run(pooled)
-				if err != nil {
-					t.Fatalf("pooled run: %v", err)
-				}
-				if resPlain.Elapsed != resPooled.Elapsed {
-					t.Errorf("virtual time diverged: unpooled %v, pooled %v", resPlain.Elapsed, resPooled.Elapsed)
-				}
-				again, err := ic2mpi.Run(pooled)
+				cfg.CheckInvariants = true
+				res, _ := assertPoolInvisible(t, cfg)
+				again, err := ic2mpi.Run(cfg)
 				if err != nil {
 					t.Fatalf("repeat run: %v", err)
 				}
-				if resPooled.Elapsed != again.Elapsed {
-					t.Errorf("perturbed run not repeatable: %v vs %v", resPooled.Elapsed, again.Elapsed)
+				if res.Elapsed != again.Elapsed {
+					t.Errorf("perturbed run not repeatable: %v vs %v", res.Elapsed, again.Elapsed)
 				}
 				// The perturbation must actually touch the timeline relative
 				// to the static machine, or the schedule is a no-op. CPU
@@ -286,36 +269,23 @@ func TestExchangeDeterminismPerturbed(t *testing.T) {
 				// statically partitioned run can be absorbed into bottleneck
 				// slack (see the interconnect note in architecture.md), so
 				// for it a shift in some processor's idle time suffices.
-				static := base
+				static := cfg
 				static.Network = model
-				static.ReuseBuffers = true
 				resStatic, err := ic2mpi.Run(static)
 				if err != nil {
 					t.Fatalf("static run: %v", err)
 				}
-				if resPooled.Elapsed < resStatic.Elapsed {
-					t.Errorf("perturbed elapsed %v faster than static %v", resPooled.Elapsed, resStatic.Elapsed)
+				if res.Elapsed < resStatic.Elapsed {
+					t.Errorf("perturbed elapsed %v faster than static %v", res.Elapsed, resStatic.Elapsed)
 				}
-				touched := resPooled.Elapsed > resStatic.Elapsed
-				for p := range resPooled.Stats {
-					if resPooled.Stats[p].IdleSeconds != resStatic.Stats[p].IdleSeconds {
+				touched := res.Elapsed > resStatic.Elapsed
+				for p := range res.Stats {
+					if res.Stats[p].IdleSeconds != resStatic.Stats[p].IdleSeconds {
 						touched = true
 					}
 				}
 				if !touched {
 					t.Errorf("schedule %s left the timeline identical to the static machine", spec)
-				}
-				want, err := ic2mpi.RunSequential(pooled)
-				if err != nil {
-					t.Fatalf("sequential reference: %v", err)
-				}
-				for v := range want {
-					if resPooled.FinalData[v] != want[v] {
-						t.Fatalf("node %d: pooled %v, sequential %v", v, resPooled.FinalData[v], want[v])
-					}
-					if resPlain.FinalData[v] != want[v] {
-						t.Fatalf("node %d: unpooled %v, sequential %v", v, resPlain.FinalData[v], want[v])
-					}
 				}
 			})
 		}
@@ -327,31 +297,12 @@ func TestExchangeDeterminismPerturbed(t *testing.T) {
 // sub-phase rounds from cross-matching.
 func TestExchangeDeterminismSubPhases(t *testing.T) {
 	for _, procs := range []int{2, 4, 8} {
-		cfg := quickstartConfig(t, procs)
-		cfg.SubPhases = 2
-		cfg.CheckInvariants = true
-
-		plain := cfg
-		plain.ReuseBuffers = false
-		pooled := cfg
-		pooled.ReuseBuffers = true
-
-		resPlain, err := ic2mpi.Run(plain)
-		if err != nil {
-			t.Fatalf("procs=%d unpooled: %v", procs, err)
-		}
-		resPooled, err := ic2mpi.Run(pooled)
-		if err != nil {
-			t.Fatalf("procs=%d pooled: %v", procs, err)
-		}
-		if resPlain.Elapsed != resPooled.Elapsed {
-			t.Errorf("procs=%d: virtual time diverged: unpooled %v, pooled %v", procs, resPlain.Elapsed, resPooled.Elapsed)
-		}
-		for v := range resPlain.FinalData {
-			if resPlain.FinalData[v] != resPooled.FinalData[v] {
-				t.Fatalf("procs=%d node %d: unpooled %v, pooled %v", procs, v, resPlain.FinalData[v], resPooled.FinalData[v])
-			}
-		}
+		t.Run("procs="+string(rune('0'+procs)), func(t *testing.T) {
+			cfg := quickstartConfig(t, procs)
+			cfg.SubPhases = 2
+			cfg.CheckInvariants = true
+			assertPoolInvisible(t, cfg)
+		})
 	}
 }
 

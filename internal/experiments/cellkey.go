@@ -8,8 +8,8 @@ import (
 
 // CellKey returns the stable cache key of one sweep cell: the scenario
 // name plus every normalized parameter that selects the deterministic
-// run — processor count, partitioner, exchange mode, buffer mode,
-// balancer, interconnect model, fault-injection schedule (seed included),
+// run — processor count, partitioner, exchange mode, balancer,
+// interconnect model, fault-injection schedule (seed included),
 // execution kernel, iteration count and the balancing schedule. Because
 // every run is a pure function of this tuple, two cells with equal keys
 // produce byte-identical results; the daemon's LRU cache relies on that.
@@ -23,7 +23,9 @@ func CellKey(sc scenario.Scenario, p scenario.Params) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("v1|%s|procs=%d|part=%s|exchange=%s|buffers=%s|balancer=%s|network=%s|perturb=%s|kernel=%s|iters=%d|balevery=%d|balrounds=%d",
-		sc.Name, np.Procs, np.Partitioner, np.Exchange, np.Buffers, np.Balancer,
+	// The fixed buffers=pooled term keeps keys persisted before the
+	// exchange lost its unpooled mode valid: those runs are unchanged.
+	return fmt.Sprintf("v1|%s|procs=%d|part=%s|exchange=%s|buffers=pooled|balancer=%s|network=%s|perturb=%s|kernel=%s|iters=%d|balevery=%d|balrounds=%d",
+		sc.Name, np.Procs, np.Partitioner, np.Exchange, np.Balancer,
 		np.Network, np.Perturb, np.Kernel, np.Iterations, np.BalanceEvery, np.BalanceRounds), nil
 }

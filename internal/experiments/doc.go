@@ -15,9 +15,9 @@
 //
 //   - The sweep engine (Axes, ParseAxes, RunSweep) runs the cartesian
 //     product of a scenario's configuration axes — processor count,
-//     static partitioner, exchange mode, buffer pooling, dynamic
-//     balancer, interconnect model, iteration count — and reports one
-//     SweepRow of metrics per combination.
+//     static partitioner, exchange mode, dynamic balancer, interconnect
+//     model, iteration count — and reports one SweepRow of metrics per
+//     combination.
 //
 // Sweep runs execute concurrently on a bounded worker pool (Parallelism);
 // rows are always assembled in deterministic axis order, so parallelism

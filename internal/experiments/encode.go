@@ -178,7 +178,7 @@ func figureCSV(cw *csv.Writer, f *Figure) error {
 
 // sweepCSV writes one record per sweep row with the full metric set.
 func sweepCSV(cw *csv.Writer, r *SweepReport) error {
-	header := []string{"scenario", "procs", "partitioner", "exchange", "buffers",
+	header := []string{"scenario", "procs", "partitioner", "exchange",
 		"balancer", "network", "perturb", "iterations", "elapsed_s", "speedup", "edge_cut",
 		"imbalance", "migrations", "messages_sent", "bytes_sent"}
 	if err := cw.Write(header); err != nil {
@@ -188,7 +188,7 @@ func sweepCSV(cw *csv.Writer, r *SweepReport) error {
 		p := row.Params
 		rec := []string{
 			row.Result.Scenario,
-			strconv.Itoa(p.Procs), p.Partitioner, p.Exchange, p.Buffers,
+			strconv.Itoa(p.Procs), p.Partitioner, p.Exchange,
 			p.Balancer, p.Network, p.Perturb, strconv.Itoa(p.Iterations),
 			ftoa(row.Elapsed), ftoa(row.Speedup), strconv.Itoa(row.EdgeCut),
 			ftoa(row.Imbalance), strconv.Itoa(row.Migrations),

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ic2mpi/internal/scenario"
@@ -34,7 +35,7 @@ func fixedReports() []Report {
 					Scenario: "demo",
 					Params: scenario.Params{
 						Procs: 1, Partitioner: "metis", Exchange: "basic",
-						Buffers: "pooled", Balancer: "none", Network: "hypercube",
+						Balancer: "none", Network: "hypercube",
 						Perturb: "none", Iterations: 5, Kernel: "goroutine",
 					},
 					Elapsed: 0.25, EdgeCut: 10, Imbalance: 1.125,
@@ -47,7 +48,7 @@ func fixedReports() []Report {
 					Scenario: "demo",
 					Params: scenario.Params{
 						Procs: 2, Partitioner: "metis", Exchange: "basic",
-						Buffers: "pooled", Balancer: "none", Network: "hypercube",
+						Balancer: "none", Network: "hypercube",
 						Perturb: "brownout@2", Iterations: 5, Kernel: "event",
 					},
 					Elapsed: 0.125, EdgeCut: 10, Imbalance: 1.125,
@@ -117,7 +118,7 @@ func TestWriteReportUnknownFormat(t *testing.T) {
 // (deterministic virtual time end to end).
 func TestSweepJSONDeterministic(t *testing.T) {
 	sc := mustScenario("hex32-fine")
-	ax, err := ParseAxes("procs=1,2,4;iters=5;buffers=pooled,unpooled")
+	ax, err := ParseAxes("procs=1,2,4;iters=5;exchange=basic,overlap")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,5 +199,39 @@ func TestParseAxesErrors(t *testing.T) {
 	}
 	if empty.Size() != len(Procs) {
 		t.Errorf("empty spec Size() = %d, want %d", empty.Size(), len(Procs))
+	}
+}
+
+// TestParseAxesRejectsBuffers pins that the retired buffer-pooling axis is
+// an unknown axis, and that the error lists the axes that remain.
+func TestParseAxesRejectsBuffers(t *testing.T) {
+	for _, spec := range []string{"buffers=pooled", "buffer=unpooled"} {
+		_, err := ParseAxes(spec)
+		if err == nil {
+			t.Fatalf("ParseAxes(%q) accepted", spec)
+		}
+		const known = "(known: procs, partitioner, exchange, balancer, network, perturb, kernel, iters)"
+		if !strings.Contains(err.Error(), known) {
+			t.Errorf("ParseAxes(%q) error %q does not list %s", spec, err, known)
+		}
+	}
+}
+
+// TestCellKeyPinned pins one cell's exact key. Keys are persisted by the
+// daemon's cell cache, sweep manifests and checkpoints, so any change to
+// the format silently invalidates them; the buffers=pooled term is kept
+// for that reason although the exchange has no unpooled mode.
+func TestCellKeyPinned(t *testing.T) {
+	sc := mustScenario("imbalance")
+	got, err := CellKey(sc, scenario.Params{
+		Procs: 16, Exchange: "overlap", Balancer: "diffusion", Network: "mesh2d",
+		Perturb: "brownout@3", Kernel: "pevent", Iterations: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "v1|imbalance|procs=16|part=metis|exchange=overlap|buffers=pooled|balancer=diffusion|network=mesh2d|perturb=brownout@3|kernel=pevent|iters=7|balevery=3|balrounds=4"
+	if got != want {
+		t.Errorf("CellKey = %q\nwant       %q", got, want)
 	}
 }

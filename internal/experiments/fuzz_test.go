@@ -14,7 +14,7 @@ func FuzzParseAxes(f *testing.F) {
 	for _, spec := range []string{
 		"",
 		"procs=1,2,4,8",
-		"procs=1,2;partitioner=metis,pagrid;buffers=pooled,unpooled",
+		"procs=1,2;partitioner=metis,pagrid;exchange=basic,overlap",
 		"network=hypercube,mesh2d;perturb=none,brownout,chaos@3",
 		"balancer=none,centralized;iters=5,10",
 		"procs=0",
@@ -25,7 +25,7 @@ func FuzzParseAxes(f *testing.F) {
 		";;;",
 		"perturb=brownout@",
 		"procs=1;procs=2;procs=3",
-		"exchange=basic,overlap;buffers=pooled",
+		"exchange=basic,overlap;kernel=goroutine",
 		"=x",
 		"procs=9999999999999999999",
 	} {

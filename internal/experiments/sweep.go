@@ -11,11 +11,11 @@ import (
 
 // The generic sweep engine: a cartesian sweep of one scenario over the
 // platform's configuration axes (processor count, static partitioner,
-// exchange mode, buffer pooling, dynamic balancer, interconnect model,
-// fault-injection schedule, execution kernel, iteration count), producing a
-// machine-readable SweepReport. The paper's tables and
-// figures are special cases of this engine; `cmd/experiments -scenario`
-// exposes it directly.
+// exchange mode, dynamic balancer, interconnect model, fault-injection
+// schedule, execution kernel, iteration count), producing a
+// machine-readable SweepReport. The paper's tables and figures are
+// special cases of this engine; `cmd/experiments -scenario` exposes it
+// directly.
 
 // Axes enumerates the parameter values a sweep visits; the cartesian
 // product of all axes is run. An empty string (or 0 for the numeric axes)
@@ -28,8 +28,6 @@ type Axes struct {
 	Partitioners []string `json:"partitioners"`
 	// Exchanges is the exchange-mode axis ("basic", "overlap").
 	Exchanges []string `json:"exchanges"`
-	// Buffers is the buffer-pooling axis ("pooled", "unpooled").
-	Buffers []string `json:"buffers"`
 	// Balancers is the dynamic-balancer axis (scenario.Balancers names the
 	// accepted values).
 	Balancers []string `json:"balancers"`
@@ -55,7 +53,6 @@ func DefaultAxes() Axes {
 		Procs:        append([]int(nil), Procs...),
 		Partitioners: []string{""},
 		Exchanges:    []string{""},
-		Buffers:      []string{""},
 		Balancers:    []string{""},
 		Networks:     []string{""},
 		Perturbs:     []string{""},
@@ -64,8 +61,10 @@ func DefaultAxes() Axes {
 	}
 }
 
-// normalize fills empty axes with the single "scenario default" value.
-func (ax Axes) normalize() Axes {
+// Normalize fills empty axes with the single "scenario default" value, so
+// the result records the exact space Cells enumerates (shard manifests
+// encode it).
+func (ax Axes) Normalize() Axes {
 	if len(ax.Procs) == 0 {
 		ax.Procs = append([]int(nil), Procs...)
 	}
@@ -74,9 +73,6 @@ func (ax Axes) normalize() Axes {
 	}
 	if len(ax.Exchanges) == 0 {
 		ax.Exchanges = []string{""}
-	}
-	if len(ax.Buffers) == 0 {
-		ax.Buffers = []string{""}
 	}
 	if len(ax.Balancers) == 0 {
 		ax.Balancers = []string{""}
@@ -98,10 +94,10 @@ func (ax Axes) normalize() Axes {
 
 // Size returns the number of runs the sweep performs.
 func (ax Axes) Size() int {
-	ax = ax.normalize()
+	ax = ax.Normalize()
 	return len(ax.Procs) * len(ax.Partitioners) * len(ax.Exchanges) *
-		len(ax.Buffers) * len(ax.Balancers) * len(ax.Networks) *
-		len(ax.Perturbs) * len(ax.Kernels) * len(ax.Iterations)
+		len(ax.Balancers) * len(ax.Networks) * len(ax.Perturbs) *
+		len(ax.Kernels) * len(ax.Iterations)
 }
 
 // ParseAxes parses a sweep specification of semicolon-separated
@@ -109,8 +105,8 @@ func (ax Axes) Size() int {
 //
 //	procs=1,2,4,8;partitioner=metis,pagrid;network=uniform,hypercube
 //
-// Accepted axis names: procs, partitioner, exchange, buffers, balancer,
-// network, perturb, kernel, iters (singular and plural forms both work).
+// Accepted axis names: procs, partitioner, exchange, balancer, network,
+// perturb, kernel, iters (singular and plural forms both work).
 // Unspecified axes stay at the scenario's default.
 func ParseAxes(spec string) (Axes, error) {
 	ax := Axes{}
@@ -156,8 +152,6 @@ func ParseAxes(spec string) (Axes, error) {
 			ax.Partitioners = vals
 		case "exchange", "exchanges":
 			ax.Exchanges = vals
-		case "buffers", "buffer":
-			ax.Buffers = vals
 		case "balancer", "balancers":
 			ax.Balancers = vals
 		case "network", "networks":
@@ -167,7 +161,7 @@ func ParseAxes(spec string) (Axes, error) {
 		case "kernel", "kernels":
 			ax.Kernels = vals
 		default:
-			return ax, fmt.Errorf("experiments: unknown sweep axis %q (known: procs, partitioner, exchange, buffers, balancer, network, perturb, kernel, iters)", key)
+			return ax, fmt.Errorf("experiments: unknown sweep axis %q (known: procs, partitioner, exchange, balancer, network, perturb, kernel, iters)", key)
 		}
 	}
 	return ax, nil
@@ -182,9 +176,8 @@ type SweepRow struct {
 }
 
 // SweepReport is the machine-readable result of one sweep, ordered
-// deterministically: iterations, partitioner, exchange, buffers,
-// balancer, network, perturbation, kernel, then processor count, each in axis
-// order.
+// deterministically: iterations, partitioner, exchange, balancer,
+// network, perturbation, kernel, then processor count, each in axis order.
 type SweepReport struct {
 	// ID is the report identifier ("sweep-<scenario>").
 	ID string `json:"id"`
@@ -204,8 +197,8 @@ type SweepReport struct {
 func (ax Axes) Single() (scenario.Params, error) {
 	var p scenario.Params
 	if len(ax.Procs) > 1 || len(ax.Partitioners) > 1 || len(ax.Exchanges) > 1 ||
-		len(ax.Buffers) > 1 || len(ax.Balancers) > 1 || len(ax.Networks) > 1 ||
-		len(ax.Perturbs) > 1 || len(ax.Kernels) > 1 || len(ax.Iterations) > 1 {
+		len(ax.Balancers) > 1 || len(ax.Networks) > 1 || len(ax.Perturbs) > 1 ||
+		len(ax.Kernels) > 1 || len(ax.Iterations) > 1 {
 		return p, fmt.Errorf("experiments: expected a single parameter combination, got a %d-run sweep", ax.Size())
 	}
 	if len(ax.Procs) == 1 {
@@ -216,9 +209,6 @@ func (ax Axes) Single() (scenario.Params, error) {
 	}
 	if len(ax.Exchanges) == 1 {
 		p.Exchange = ax.Exchanges[0]
-	}
-	if len(ax.Buffers) == 1 {
-		p.Buffers = ax.Buffers[0]
 	}
 	if len(ax.Balancers) == 1 {
 		p.Balancer = ax.Balancers[0]
@@ -262,35 +252,32 @@ func RunTraced(sc scenario.Scenario, ax Axes, rec *trace.Recorder) (*SweepReport
 }
 
 // Cells enumerates the sweep's parameter combinations in deterministic
-// axis order: iterations, partitioner, exchange, buffers, balancer,
-// network, perturbation, kernel, then processor count innermost — so each
+// axis order: iterations, partitioner, exchange, balancer, network,
+// perturbation, kernel, then processor count innermost — so each
 // contiguous chunk of len(ax.Procs) cells forms one speedup group. This
 // is the exact run order RunSweep assembles rows in, and the unit the
 // daemon's result cache keys on (one CellKey per cell).
 func (ax Axes) Cells() []scenario.Params {
-	ax = ax.normalize()
+	ax = ax.Normalize()
 	params := make([]scenario.Params, 0, ax.Size())
 	for _, iters := range ax.Iterations {
 		for _, part := range ax.Partitioners {
 			for _, ex := range ax.Exchanges {
-				for _, buf := range ax.Buffers {
-					for _, bal := range ax.Balancers {
-						for _, netw := range ax.Networks {
-							for _, pert := range ax.Perturbs {
-								for _, kern := range ax.Kernels {
-									for _, procs := range ax.Procs {
-										params = append(params, scenario.Params{
-											Procs:       procs,
-											Partitioner: part,
-											Exchange:    ex,
-											Buffers:     buf,
-											Balancer:    bal,
-											Network:     netw,
-											Perturb:     pert,
-											Kernel:      kern,
-											Iterations:  iters,
-										})
-									}
+				for _, bal := range ax.Balancers {
+					for _, netw := range ax.Networks {
+						for _, pert := range ax.Perturbs {
+							for _, kern := range ax.Kernels {
+								for _, procs := range ax.Procs {
+									params = append(params, scenario.Params{
+										Procs:       procs,
+										Partitioner: part,
+										Exchange:    ex,
+										Balancer:    bal,
+										Network:     netw,
+										Perturb:     pert,
+										Kernel:      kern,
+										Iterations:  iters,
+									})
 								}
 							}
 						}
@@ -323,7 +310,7 @@ func RunSweep(sc scenario.Scenario, ax Axes) (*SweepReport, error) {
 // its normalized parameters, the assembled report is byte-identical
 // either way.
 func RunSweepWith(sc scenario.Scenario, ax Axes, run CellRunner) (*SweepReport, error) {
-	ax = ax.normalize()
+	ax = ax.Normalize()
 	rep := &SweepReport{
 		ID:       "sweep-" + sc.Name,
 		Title:    fmt.Sprintf("Sweep of scenario %s: %s", sc.Name, sc.Description),
@@ -361,13 +348,13 @@ func RunSweepWith(sc scenario.Scenario, ax Axes, run CellRunner) (*SweepReport, 
 func (r *SweepReport) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s: %s\n", r.ID, r.Title)
-	fmt.Fprintf(&b, "%6s %12s %8s %9s %19s %9s %10s %6s %12s %8s %9s %11s %9s\n",
-		"procs", "partitioner", "exchange", "buffers", "balancer", "network", "perturb", "iters",
+	fmt.Fprintf(&b, "%6s %12s %8s %19s %9s %10s %6s %12s %8s %9s %11s %9s\n",
+		"procs", "partitioner", "exchange", "balancer", "network", "perturb", "iters",
 		"elapsed_s", "speedup", "edge_cut", "migrations", "msgs")
 	for _, row := range r.Rows {
 		p := row.Params
-		fmt.Fprintf(&b, "%6d %12s %8s %9s %19s %9s %10s %6d %12.4f %8.2f %9d %11d %9d\n",
-			p.Procs, p.Partitioner, p.Exchange, p.Buffers, p.Balancer, p.Network, p.Perturb, p.Iterations,
+		fmt.Fprintf(&b, "%6d %12s %8s %19s %9s %10s %6d %12.4f %8.2f %9d %11d %9d\n",
+			p.Procs, p.Partitioner, p.Exchange, p.Balancer, p.Network, p.Perturb, p.Iterations,
 			row.Elapsed, row.Speedup, row.EdgeCut, row.Migrations, row.MessagesSent)
 	}
 	if r.Notes != "" {

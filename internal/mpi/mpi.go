@@ -409,9 +409,8 @@ func (c *Comm) Charge(d float64) {
 // Isend enqueues a message for rank dst without blocking (MPI_Isend with an
 // unbounded system buffer). bytes is the payload size used by the cost
 // model; payload itself is delivered by reference, so callers must not
-// mutate it until the receiver has consumed it. The platform either hands
-// over freshly packed buffers (as the C original does) or, with pooled
-// exchange buffers, reuses a buffer only once the exchange protocol proves
+// mutate it until the receiver has consumed it. The platform's pooled
+// exchange buffers reuse a buffer only once the exchange protocol proves
 // its receipt — see the sendPool comment in internal/platform/state.go for
 // that argument. Anything in this runtime that held payload references
 // past delivery (logging, replay, delayed matching) would break it.

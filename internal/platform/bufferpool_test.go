@@ -1,10 +1,11 @@
 package platform
 
-// The exchange buffer pool (Config.ReuseBuffers) must be invisible: a
-// pooled run produces exactly the virtual timeline, message counters,
-// migrations and final data of the unpooled run. Migrations change which
-// processors a rank exchanges with, which sends the pool down its
-// fresh-generation path, so the differential runs through them.
+// The exchange buffer pool must be invisible: a run computes what the
+// sequential reference computes, and a run resumed from a mid-run
+// snapshot, whose ranks start with empty pools, reproduces the
+// uninterrupted warm-pool run exactly. Migrations change which processors
+// a rank exchanges with, which sends the pool down its fresh-generation
+// path, so the resume point precedes a migration.
 
 import (
 	"reflect"
@@ -53,7 +54,7 @@ func neighborProcs(g *graph.Graph, part []int, procs int) []map[int]bool {
 	return sets
 }
 
-func TestPooledMatchesUnpooledThroughMigration(t *testing.T) {
+func TestPoolResumeThroughMigration(t *testing.T) {
 	g := hexGrid(t, 8, 8)
 	cfg := baseConfig(g, 4)
 	// Proc 0 holds the single row 3, between proc 1 (rows 0-2) and proc 2
@@ -75,6 +76,10 @@ func TestPooledMatchesUnpooledThroughMigration(t *testing.T) {
 	cfg.BalanceEvery = 4
 	cfg.Balancer = skewedBalancer{}
 	cfg.DisableMigrationGuard = true
+	want, err := RunSequential(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, kernel := range []mpi.Kernel{mpi.KernelGoroutine, mpi.KernelEvent} {
 		for _, overlap := range []bool{false, true} {
 			c := cfg
@@ -84,25 +89,26 @@ func TestPooledMatchesUnpooledThroughMigration(t *testing.T) {
 			if overlap {
 				label += " overlapped"
 			}
-			c.ReuseBuffers = false
-			unpooled, err := Run(c)
+			warm, _, snaps := runWithSnapshots(t, c)
+			if !reflect.DeepEqual(warm.FinalData, want) {
+				t.Fatalf("%s: FinalData differ from the sequential reference", label)
+			}
+			// Resume from the latest boundary at or before mid-run after
+			// which some rank's neighbor processors still change.
+			after := neighborProcs(g, warm.FinalPartition, c.Procs)
+			mid := snaps[c.Iterations/2]
+			for mid.Iter > 1 && reflect.DeepEqual(neighborProcs(g, mid.Owner, c.Procs), after) {
+				mid = snaps[mid.Iter-1]
+			}
+			if reflect.DeepEqual(neighborProcs(g, mid.Owner, c.Procs), after) {
+				t.Fatalf("%s: no rank's neighbor processors changed after iteration %d; the pool's fresh-generation path did not run", label, mid.Iter)
+			}
+			c.ResumeFrom = mid
+			resumed, err := Run(c)
 			if err != nil {
-				t.Fatalf("%s unpooled: %v", label, err)
+				t.Fatalf("%s resumed: %v", label, err)
 			}
-			c.ReuseBuffers = true
-			pooled, err := Run(c)
-			if err != nil {
-				t.Fatalf("%s pooled: %v", label, err)
-			}
-			if pooled.Migrations == 0 {
-				t.Fatalf("%s: expected migrations to occur", label)
-			}
-			before := neighborProcs(g, c.InitialPartition, c.Procs)
-			after := neighborProcs(g, pooled.FinalPartition, c.Procs)
-			if reflect.DeepEqual(before, after) {
-				t.Fatalf("%s: no rank's neighbor processors changed; the pool's fresh-generation path did not run", label)
-			}
-			assertResultsIdentical(t, label, unpooled, pooled)
+			assertResultsIdentical(t, label, warm, resumed)
 		}
 	}
 }

@@ -80,20 +80,11 @@ func (s *rankState) roundOverlapped(iter, sub int) error {
 
 // makeBuffers returns one send buffer per processor in nbrs, sized from
 // its send count ("the data structure chosen for the communication
-// buffers gives optimum memory usage"). Without ReuseBuffers every
-// exchange gets fresh allocations, matching the C original's
-// malloc-per-round; with it the buffers come from the parity-indexed pool
-// and are allocation-free once capacities have warmed up (see the
-// sendPool comment in state.go for why a two-generation gap is
+// buffers gives optimum memory usage"). The buffers come from the
+// parity-indexed pool and are allocation-free once capacities have warmed
+// up (see the sendPool comment in state.go for why a two-generation gap is
 // sufficient).
 func (s *rankState) makeBuffers() [][]shadowUpdate {
-	if !s.cfg.ReuseBuffers {
-		buffers := make([][]shadowUpdate, len(s.nbrs))
-		for i, nb := range s.nbrs {
-			buffers[i] = make([]shadowUpdate, 0, nb.send)
-		}
-		return buffers
-	}
 	gen := &s.sendPool[s.exchanges%2]
 	s.exchanges++
 	if !slices.EqualFunc(gen.nbrs, s.nbrs, func(a, b nbrProc) bool { return a.proc == b.proc }) {
@@ -121,15 +112,10 @@ func (s *rankState) computeNode(node *ownNode, iter, sub int, buffers [][]shadow
 	}
 	// Computation overhead: form the list of the node and its neighbors.
 	t0 := s.comm.Wtime()
-	var neighbors []Neighbor
-	if s.cfg.ReuseBuffers {
-		if cap(s.nbrScratch) < len(node.neighbors) {
-			s.nbrScratch = make([]Neighbor, len(node.neighbors))
-		}
-		neighbors = s.nbrScratch[:len(node.neighbors)]
-	} else {
-		neighbors = make([]Neighbor, len(node.neighbors))
+	if cap(s.nbrScratch) < len(node.neighbors) {
+		s.nbrScratch = make([]Neighbor, len(node.neighbors))
 	}
+	neighbors := s.nbrScratch[:len(node.neighbors)]
 	for i, u := range node.neighbors {
 		ne := s.table.Lookup(u)
 		if ne == nil {

@@ -61,10 +61,10 @@ type rankState struct {
 	// cleared and reused so that a warm rebuild allocates nothing.
 	seen map[graph.NodeID]struct{}
 
-	// Exchange buffer pool (Config.ReuseBuffers). sendPool holds two
-	// generations of send buffers indexed like nbrs; successive
-	// exchanges alternate generations, so a buffer handed to Isend in
-	// exchange k is only truncated and repacked in exchange k+2. Each
+	// Exchange buffer pool. sendPool holds two generations of send
+	// buffers indexed like nbrs; successive exchanges alternate
+	// generations, so a buffer handed to Isend in exchange k is only
+	// truncated and repacked in exchange k+2. Each
 	// generation records the processors it was packed for and is reused
 	// only while that list is unchanged; once a migration changes it the
 	// generation starts fresh, so a buffer is only ever repacked for the
@@ -73,8 +73,7 @@ type rankState struct {
 	// is symmetric (I send to p iff I receive from p), so receiving p's
 	// exchange-(k+1) buffer proves p finished its exchange k and has
 	// already unpacked everything we sent it in exchange k. nbrScratch is
-	// the recycled node+neighbors list handed to the node function. Both
-	// stay empty unless ReuseBuffers is on.
+	// the recycled node+neighbors list handed to the node function.
 	sendPool   [2]sendGeneration
 	exchanges  int
 	nbrScratch []Neighbor

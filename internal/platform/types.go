@@ -51,9 +51,9 @@ type Neighbor struct {
 // 1, which the battlefield simulation uses because "the computation and
 // communication function sequence is called more than once").
 //
-// The neighbors slice is only valid for the duration of the call when
-// Config.ReuseBuffers is enabled (the platform recycles it between
-// invocations); implementations must copy it to retain it.
+// The neighbors slice is only valid for the duration of the call: the
+// platform and RunSequential recycle it between invocations, so
+// implementations must copy it to retain it.
 type NodeFunc func(id graph.NodeID, iter, sub int, self NodeData, neighbors []Neighbor) (NodeData, float64)
 
 // Pair is one busy/idle processor pair selected by the load balancer.
@@ -231,14 +231,10 @@ type Config struct {
 	// Overlap selects the Fig. 8a variant: peripheral nodes first, then
 	// internal-node computation overlapped with shadow communication.
 	Overlap bool
-	// ReuseBuffers enables the pooled exchange fast path: per-destination
-	// send buffers and the node+neighbors list handed to Node are recycled
-	// across iterations instead of freshly allocated, making the
-	// steady-state compute/communicate round allocation-free. Virtual-time
-	// results and final node data are bit-identical with the pool on or
-	// off (enforced by TestExchangeDeterminism). When enabled, Node
-	// implementations must not retain the neighbors slice beyond the call;
-	// copy it first if longer-lived access is needed.
+	// Deprecated: ReuseBuffers is ignored. The exchange always recycles
+	// its send buffers and the neighbors list handed to Node (see
+	// NodeFunc). The field stays only because the repository benchmark
+	// module still sets it; it goes with the next benchmark change.
 	ReuseBuffers bool
 	// Balancer enables dynamic load balancing when non-nil.
 	Balancer Balancer

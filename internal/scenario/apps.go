@@ -334,7 +334,6 @@ func init() {
 		Defaults: Params{
 			Partitioner: "block",
 			Exchange:    "bsp",
-			Buffers:     "n/a",
 		},
 		Runner: func(sc Scenario, p Params) (*Result, error) {
 			g, err := sc.Graph()

@@ -19,9 +19,9 @@
 // single-source shortest paths, and PageRank on the BSP superstep layer.
 //
 // Params selects one point of a scenario's configuration space (processor
-// count, partitioner, exchange mode, buffer pooling, balancer,
-// interconnect model, iterations); Scenario.Run executes that point and
-// returns a flat, machine-readable Result. All execution is in
-// deterministic virtual time: running the same (scenario, params) twice
-// yields byte-identical results.
+// count, partitioner, exchange mode, balancer, interconnect model,
+// iterations); Scenario.Run executes that point and returns a flat,
+// machine-readable Result. All execution is in deterministic virtual
+// time: running the same (scenario, params) twice yields byte-identical
+// results.
 package scenario

@@ -25,15 +25,6 @@ const (
 	ExchangeOverlap = "overlap"
 )
 
-// Buffer-pooling modes selectable through Params.Buffers.
-const (
-	// BuffersPooled enables the pooled exchange fast path
-	// (platform.Config.ReuseBuffers).
-	BuffersPooled = "pooled"
-	// BuffersUnpooled allocates exchange buffers freshly each round.
-	BuffersUnpooled = "unpooled"
-)
-
 // Params selects one point of a scenario's configuration space. The zero
 // value of every field means "use the scenario's default"; the sweep
 // engine enumerates explicit values along each axis.
@@ -45,8 +36,6 @@ type Params struct {
 	Partitioner string `json:"partitioner"`
 	// Exchange is ExchangeBasic or ExchangeOverlap.
 	Exchange string `json:"exchange"`
-	// Buffers is BuffersPooled or BuffersUnpooled.
-	Buffers string `json:"buffers"`
 	// Balancer names the dynamic load balancer; see Balancers for the
 	// accepted names ("none" disables balancing).
 	Balancer string `json:"balancer"`
@@ -150,7 +139,7 @@ type Scenario struct {
 	// (0 means 1; the battlefield uses 2).
 	SubPhases int
 	// Defaults overrides the package-wide parameter defaults (partitioner
-	// metis, basic exchange, pooled buffers, no balancer).
+	// metis, basic exchange, no balancer).
 	Defaults Params
 	// Runner, when non-nil, replaces the platform execution path entirely
 	// (the BSP scenarios use this). It receives normalized Params.
@@ -186,11 +175,6 @@ func (sc Scenario) normalize(p Params) (Params, error) {
 	if p.Exchange == "" {
 		if p.Exchange = def.Exchange; p.Exchange == "" {
 			p.Exchange = ExchangeBasic
-		}
-	}
-	if p.Buffers == "" {
-		if p.Buffers = def.Buffers; p.Buffers == "" {
-			p.Buffers = BuffersPooled
 		}
 	}
 	if p.Balancer == "" {
@@ -249,10 +233,6 @@ func (sc Scenario) normalize(p Params) (Params, error) {
 		if p.Exchange != ExchangeBasic && p.Exchange != ExchangeOverlap {
 			return p, fmt.Errorf("scenario %s: unknown exchange mode %q (want %s or %s)",
 				sc.Name, p.Exchange, ExchangeBasic, ExchangeOverlap)
-		}
-		if p.Buffers != BuffersPooled && p.Buffers != BuffersUnpooled {
-			return p, fmt.Errorf("scenario %s: unknown buffer mode %q (want %s or %s)",
-				sc.Name, p.Buffers, BuffersPooled, BuffersUnpooled)
 		}
 		if !knownName(p.Partitioner, Partitioners()) {
 			return p, fmt.Errorf("scenario %s: unknown partitioner %q (known: %v)", sc.Name, p.Partitioner, Partitioners())
@@ -324,7 +304,6 @@ func (sc Scenario) Config(p Params) (*platform.Config, error) {
 		Iterations:       p.Iterations,
 		SubPhases:        sc.SubPhases,
 		Overlap:          p.Exchange == ExchangeOverlap,
-		ReuseBuffers:     p.Buffers == BuffersPooled,
 		Balancer:         bal,
 		BalanceEvery:     p.BalanceEvery,
 		BalanceRounds:    p.BalanceRounds,

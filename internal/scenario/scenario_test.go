@@ -129,7 +129,7 @@ func TestNormalizeDefaults(t *testing.T) {
 	if p.Balancer != "centralized" || p.BalanceEvery != 3 || p.BalanceRounds != 4 {
 		t.Errorf("imbalance defaults not applied: %+v", p)
 	}
-	if p.Iterations != 25 || p.Partitioner != "metis" || p.Exchange != ExchangeBasic || p.Buffers != BuffersPooled {
+	if p.Iterations != 25 || p.Partitioner != "metis" || p.Exchange != ExchangeBasic {
 		t.Errorf("package defaults not applied: %+v", p)
 	}
 	// One processor has nothing to balance: the requested balancer stays
@@ -148,9 +148,6 @@ func TestNormalizeRejectsBadModes(t *testing.T) {
 	sc, _ := Lookup("hex64-fine")
 	if _, err := sc.Run(Params{Procs: 2, Exchange: "warp"}); err == nil {
 		t.Error("bad exchange mode accepted")
-	}
-	if _, err := sc.Run(Params{Procs: 2, Buffers: "leaky"}); err == nil {
-		t.Error("bad buffer mode accepted")
 	}
 	if _, err := sc.Run(Params{Procs: 2, Balancer: "psychic"}); err == nil {
 		t.Error("bad balancer accepted")

@@ -46,8 +46,8 @@ type JobSpec struct {
 // axesEmpty reports whether ax names no explicit axis values at all.
 func axesEmpty(ax experiments.Axes) bool {
 	return len(ax.Procs) == 0 && len(ax.Partitioners) == 0 && len(ax.Exchanges) == 0 &&
-		len(ax.Buffers) == 0 && len(ax.Balancers) == 0 && len(ax.Networks) == 0 &&
-		len(ax.Perturbs) == 0 && len(ax.Kernels) == 0 && len(ax.Iterations) == 0
+		len(ax.Balancers) == 0 && len(ax.Networks) == 0 && len(ax.Perturbs) == 0 &&
+		len(ax.Kernels) == 0 && len(ax.Iterations) == 0
 }
 
 // DecodeJobSpec parses and validates a submit-request body: strict JSON

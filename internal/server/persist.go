@@ -173,7 +173,9 @@ func (s *Server) restore() error {
 		}
 		// Re-validate through the same boundary a live submit crosses, so
 		// a record from an older daemon cannot smuggle in a spec the
-		// current input rules reject.
+		// current input rules reject. The lenient decode above drops
+		// fields the spec no longer has (such as the retired "buffers"
+		// axis), so such a record restores without them.
 		body, err := json.Marshal(pj.Spec)
 		if err != nil {
 			return err

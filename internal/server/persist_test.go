@@ -192,3 +192,53 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 		})
 	}
 }
+
+// TestRestoreRecordsWithBuffersAxis pins the upgrade path for a state
+// directory written while the sweep still had a "buffers" axis: the job
+// record (axes.buffers = ["pooled"]) restores under its original ID and
+// completes, and the cell record, whose key carries the fixed
+// buffers=pooled term, is served as a cache hit. The result equals a
+// direct run of the same sweep.
+func TestRestoreRecordsWithBuffersAxis(t *testing.T) {
+	sequentialCells(t)
+	state := t.TempDir()
+	src := filepath.Join("testdata", "state_buffers_axis")
+	for _, sub := range []string{cellsDirName, jobsDirName} {
+		if err := os.MkdirAll(filepath.Join(state, sub), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		files, err := sortedJSONFiles(filepath.Join(src, sub))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range files {
+			data, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(state, sub, filepath.Base(f)), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	srv, ts := newTestServer(t, Config{Workers: 1, StateDir: state})
+	if err := srv.RestoreError(); err != nil {
+		t.Fatal(err)
+	}
+	if srv.persist.CellsLoaded != 1 || srv.persist.JobsRestored != 1 {
+		t.Fatalf("restore stats %+v, want 1 cell loaded and 1 job restored", srv.persist)
+	}
+	const id = "job-000007"
+	fin := waitFinal(t, ts, id)
+	if d := decodeJob(t, fin.body); d.State != StateDone || d.CellsDone != 2 || d.CacheHits != 1 {
+		t.Fatalf("restored job %+v, want done with 2 cells done and 1 cache hit", d)
+	}
+	res := do(t, ts, "GET", "/v1/jobs/"+id+"/result", "", nil)
+	if res.status != http.StatusOK {
+		t.Fatalf("result: got %d\n%s", res.status, res.body)
+	}
+	if want := directSweepBytes(t, "heat", "procs=1,2;iters=3", "text"); !bytes.Equal(res.body, want) {
+		t.Errorf("restored result drifted from a direct run\n--- got ---\n%s--- want ---\n%s", res.body, want)
+	}
+}

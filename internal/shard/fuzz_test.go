@@ -31,7 +31,7 @@ func FuzzManifestParse(f *testing.F) {
 	f.Add(partial)
 	f.Add(fresh[:len(fresh)/3])
 	f.Add(bytes.Replace(fresh, []byte(Version), []byte("ic2mpi.manifest.v0"), 1))
-	f.Add([]byte(`{"version":"ic2mpi.manifest.v1"}`))
+	f.Add([]byte(`{"version":"ic2mpi.manifest.v2"}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(``))
 
@@ -59,8 +59,8 @@ func FuzzManifestParse(f *testing.F) {
 func TestFuzzCorpusPinned(t *testing.T) {
 	for i, data := range [][]byte{
 		[]byte(`{"version":"ic2mpi.manifest.v999"}`),
-		[]byte(`{"version":"ic2mpi.manifest.v1","scenario":"x","shards":1,"axes":{},"verify":[],"cells":[]}`),
-		[]byte(`{"version":"ic2mpi.manifest.v1","scenario":"","shards":0}`),
+		[]byte(`{"version":"ic2mpi.manifest.v2","scenario":"x","shards":1,"axes":{},"verify":[],"cells":[]}`),
+		[]byte(`{"version":"ic2mpi.manifest.v2","scenario":"","shards":0}`),
 	} {
 		if _, err := Parse(data); err == nil {
 			t.Fatalf("corpus seed %d parsed without error", i)

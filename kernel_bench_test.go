@@ -79,25 +79,19 @@ func BenchmarkKernelMemoryPerRank(b *testing.B) {
 	}
 }
 
-// Steady-state allocation pins for the four BenchmarkExchange*
+// Steady-state allocation pins for the BenchmarkExchange8/16
 // configurations, measured with testing.AllocsPerRun on the default
-// goroutine kernel. docs/benchmarks.md documents the first-run values
-// (17609 / 3076 / 22814 / 5894 at -benchtime 1x); once one-time lazy
-// initialization is amortized the steady state settles a few allocations
-// lower for the unpooled rows. The tolerance absorbs runtime scheduling
-// jitter (a handful of allocs per run) while still catching any real
-// regression — losing buffer pooling alone moves the pooled rows by
-// thousands.
+// goroutine kernel (docs/benchmarks.md lists them). The tolerance absorbs
+// runtime scheduling jitter (a handful of allocs per run) while still
+// catching any real regression — losing buffer pooling alone moves these
+// rows by thousands.
 var exchangeAllocPins = []struct {
 	name   string
 	procs  int
-	reuse  bool
 	allocs float64
 }{
-	{"Unpooled8", 8, false, 17591},
-	{"Pooled8", 8, true, 3076},
-	{"Unpooled16", 16, false, 22798},
-	{"Pooled16", 16, true, 5894},
+	{"Pooled8", 8, 3076},
+	{"Pooled16", 16, 5894},
 }
 
 func TestExchangeAllocsPinned(t *testing.T) {
@@ -110,7 +104,7 @@ func TestExchangeAllocsPinned(t *testing.T) {
 	for _, pin := range exchangeAllocPins {
 		pin := pin
 		t.Run(pin.name, func(t *testing.T) {
-			cfg := exchangeConfig(t, pin.procs, pin.reuse)
+			cfg := exchangeConfig(t, pin.procs)
 			got := testing.AllocsPerRun(5, func() {
 				if _, err := ic2mpi.Run(cfg); err != nil {
 					t.Fatal(err)
